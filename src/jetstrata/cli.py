@@ -181,32 +181,17 @@ def _run_wtable(args) -> dict:
 
 def _run_criteria(args) -> dict:
     k = _order(args.k)
+    inputs = {"kind": args.kind, "n": args.n, "p": args.p, "i": args.i, "k": _jet_order_value(k)}
     if args.kind == "nonstable":
         report = criteria.nonstable_inclusion(args.n, args.p, args.i, k)
         citations = ["nonstable-jet-inclusion-inequality"]
-        inputs = {"kind": args.kind, "n": args.n, "p": args.p, "i": args.i, "k": _jet_order_value(k)}
-    elif args.kind == "w":
-        report = criteria.w_inclusion(args.n, args.p, args.i, args.l, k)
-        citations = ["w-stratum-inclusion-inequality"]
-        inputs = {
-            "kind": args.kind,
-            "n": args.n,
-            "p": args.p,
-            "i": args.i,
-            "l": args.l,
-            "k": _jet_order_value(k),
-        }
     else:
-        report = criteria.stabilized_w_inclusion(args.n, args.p, args.i, args.l, k)
-        citations = ["w-stratum-inclusion-inequality", "dimension-shift-stabilization"]
-        inputs = {
-            "kind": args.kind,
-            "n": args.n,
-            "p": args.p,
-            "i": args.i,
-            "l": args.l,
-            "k": _jet_order_value(k),
-        }
+        inclusion = criteria.w_inclusion if args.kind == "w" else criteria.stabilized_w_inclusion
+        report = inclusion(args.n, args.p, args.i, args.l, k)
+        inputs["l"] = args.l
+        citations = ["w-stratum-inclusion-inequality"]
+        if args.kind == "stabilized":
+            citations.append("dimension-shift-stabilization")
     return _report("criteria", inputs, _criterion_dict(report), report.verdict, citations)
 
 

@@ -44,10 +44,6 @@ class DimensionMismatch(FiltrationError):
     pass
 
 
-# Same failure kind under the name some callers use.
-DimMismatch = DimensionMismatch
-
-
 class StageObstructionVanishes(FiltrationError):
     pass
 

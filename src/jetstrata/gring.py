@@ -15,9 +15,10 @@ All arithmetic is exact: arbitrary-precision integers, or bits mod 2.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class CoefficientMode(Enum):
@@ -103,8 +104,6 @@ class ManifoldRing:
         self.orientable = bool(orientable)
 
         # Optional metadata set by constructors below, never by hand.
-        self.tensor_pairs: dict[str, tuple[str, str]] | None = None
-        self.tensor_factors: tuple[ManifoldRing, ManifoldRing] | None = None
         self.generators: tuple[tuple[str, int], ...] | None = None
         self.generator_exponents: dict[str, tuple[int, ...]] | None = None
 
@@ -225,15 +224,31 @@ class ManifoldRing:
                 acc[target] = acc.get(target, 0) + coefficient * c
         return {k: v for k, v in ((k, self._normal(v)) for k, v in acc.items()) if v}
 
+    def _bounded_triples(self) -> Iterator[tuple[str, str, str]]:
+        """Non-unit triples x <= y <= z (by position) whose degrees sum to at
+        most top_dim, in the order of ``combinations_with_replacement``."""
+        nonunit = [l for l in self.labels if l != self.unit_label]
+        degrees = [self.degree_of[l] for l in nonunit]
+        positions = list(range(len(nonunit)))
+        # within[b]: the positions of degree at most bounds[b], ascending;
+        # degree 0 holds only the unit, so within[0] is empty.
+        bounds = [0, *sorted(set(degrees))]
+        within = [[k for k in positions if degrees[k] <= bound] for bound in bounds]
+
+        def from_position(start: int, bound: int) -> list[int]:
+            ks = within[bisect_right(bounds, bound) - 1]
+            return ks[bisect_left(ks, start):]
+
+        top = self.top_dim
+        for i in positions:
+            for j in from_position(i, top - degrees[i]):
+                for k in from_position(j, top - degrees[i] - degrees[j]):
+                    yield nonunit[i], nonunit[j], nonunit[k]
+
     def _verify_associativity(self) -> None:
         # Triples with total degree above top_dim associate trivially (both
-        # sides truncate), so only bounded-degree triples need checking.
-        nonunit = [l for l in self.labels if l != self.unit_label]
-        top = self.top_dim
-        deg = self.degree_of
-        for x, y, z in itertools.combinations_with_replacement(nonunit, 3):
-            if deg[x] + deg[y] + deg[z] > top:
-                continue
+        # sides truncate), so only bounded-degree triples are enumerated.
+        for x, y, z in self._bounded_triples():
             xy_z = self._mul_terms(self.basis_product(x, y), z)
             xz_y = self._mul_terms(self.basis_product(x, z), y)
             yz_x = self._mul_terms(self.basis_product(y, z), x)
@@ -261,15 +276,18 @@ class ManifoldRing:
 
     # -- presentation ------------------------------------------------------
 
+    def _product_entries(self) -> Iterator[tuple[str, str, tuple[tuple[str, int], ...]]]:
+        """Nonzero non-unit products (a, b, packed), a not after b, in position order."""
+        pos = self.position
+        for (a, b), packed in sorted(self._table.items(), key=lambda kv: [pos[l] for l in kv[0]]):
+            yield a, b, packed
+
     def serialize(self) -> dict:
         """Canonical presentation document; ``make_ring`` inverts this."""
-        products = []
-        for (a, b), packed in sorted(
-            self._table.items(), key=lambda kv: (self.position[kv[0][0]], self.position[kv[0][1]])
-        ):
-            products.append(
-                {"a": a, "b": b, "result": [{"label": l, "coeff": c} for l, c in packed]}
-            )
+        products = [
+            {"a": a, "b": b, "result": [{"label": l, "coeff": c} for l, c in packed]}
+            for a, b, packed in self._product_entries()
+        ]
         return {
             "mode": self.mode.value,
             "topDim": self.top_dim,
@@ -382,14 +400,6 @@ class GradedElement:
         for label, coefficient in sorted(self.coeffs.items(), key=lambda kv: pos[kv[0]]):
             parts.append(label if coefficient == 1 else f"{coefficient}*{label}")
         return " + ".join(parts)
-
-
-def add(a: GradedElement, b: GradedElement) -> GradedElement:
-    return a + b
-
-
-def mul(a: GradedElement, b: GradedElement) -> GradedElement:
-    return a * b
 
 
 def pair_fundamental(c: GradedElement) -> int:
@@ -509,75 +519,77 @@ def compose(outer: RingMap, inner: RingMap) -> RingMap:
 TENSOR_SEPARATOR = "⊗"  # the label glue used by kunneth_product
 
 
-def kunneth_product(
-    left: ManifoldRing, right: ManifoldRing
-) -> tuple[ManifoldRing, RingMap, RingMap]:
+class TensorRing(ManifoldRing):
+    """H*(A) ⊗ H*(B), the Künneth ring of a product A × B (torsion-free or
+    mod-2 coefficients, where the graded sign is 1).
+
+    ``pairs`` lists the factor labels (a, b) in basis order; the basis label
+    of a pair is ``a⊗b`` and its degree the sum of the factor degrees.  The
+    attributes ``pairs`` and ``label_of`` map labels to pairs and back.
+    Products are computed factor by factor, (a1⊗b1)(a2⊗b2) = (a1a2)⊗(b1b2),
+    so no product table is stored.
+    """
+
+    def __init__(self, left: ManifoldRing, right: ManifoldRing, pairs: Sequence[tuple[str, str]]):
+        self.left = left
+        self.right = right
+        labels = [f"{a}{TENSOR_SEPARATOR}{b}" for a, b in pairs]
+        self.pairs: dict[str, tuple[str, str]] = dict(zip(labels, pairs))
+        self.label_of: dict[tuple[str, str], str] = dict(zip(pairs, labels))
+        super().__init__(
+            left.mode,
+            left.top_dim + right.top_dim,
+            [(l, left.degree_of[a] + right.degree_of[b]) for l, (a, b) in zip(labels, pairs)],
+            fundamental=self.label_of[left.fundamental_label, right.fundamental_label],
+            orientable=left.orientable and right.orientable,
+        )
+
+    def _verify_associativity(self) -> None:
+        """Nothing to enumerate: each factor was checked when it was built,
+        and a tensor product of associative rings is associative."""
+
+    def basis_product(self, a: str, b: str) -> tuple[tuple[str, int], ...]:
+        a1, b1 = self.pairs[a]
+        a2, b2 = self.pairs[b]
+        left = self.left.basis_product(a1, a2)
+        if not left:
+            return ()
+        right = self.right.basis_product(b1, b2)
+        label = self.label_of
+        # Both factors list their terms by position, one degree each, so the
+        # tensor terms come out by position too.
+        return tuple([(label[ra, rb], ca * cb) for ra, ca in left for rb, cb in right])
+
+    def _product_entries(self) -> Iterator[tuple[str, str, tuple[tuple[str, int], ...]]]:
+        labels, deg, top = self.labels, self.degree_of, self.top_dim
+        # The basis is listed by degree with the unit first, so a row ends at
+        # the first label whose product with ``a`` passes the top dimension.
+        for i, a in enumerate(labels[1:], 1):
+            for b in itertools.takewhile(lambda b: deg[a] + deg[b] <= top, labels[i:]):
+                if packed := self.basis_product(a, b):
+                    yield a, b, packed
+
+
+def kunneth_product(left: ManifoldRing, right: ManifoldRing) -> tuple[TensorRing, RingMap, RingMap]:
     """Tensor ring of two rings plus the two factor injections.
 
-    Basis labels are ``a⊗b``; degrees add; the fundamental class is the
-    tensor of the factor fundamentals.  The injections send ``a`` to ``a⊗1``
-    and ``b`` to ``1⊗b``.
+    Basis labels are ``a⊗b``, listed by total degree, then by the degree and
+    position of ``a``, then by the position of ``b``; degrees add; the
+    fundamental class is the tensor of the factor fundamentals.  The
+    injections send ``a`` to ``a⊗1`` and ``b`` to ``1⊗b``.
     """
     if left.mode is not right.mode:
         raise ModeMismatch("tensor factors must share a coefficient mode")
-    glue = TENSOR_SEPARATOR
-
-    def tensor_label(a: str, b: str) -> str:
-        return f"{a}{glue}{b}"
-
-    top = left.top_dim + right.top_dim
-    basis: list[tuple[str, int]] = []
-    pairs: dict[str, tuple[str, str]] = {}
-    for d in range(top + 1):
-        for da in sorted(left.basis_by_degree):
-            db = d - da
-            if db < 0 or db not in right.basis_by_degree:
-                continue
-            for a in left.basis_by_degree[da]:
-                for b in right.basis_by_degree[db]:
-                    label = tensor_label(a, b)
-                    basis.append((label, d))
-                    pairs[label] = (a, b)
-
-    labels = [l for l, _ in basis]
-    products: dict[tuple[str, str], dict[str, int]] = {}
-    unit = tensor_label(left.unit_label, right.unit_label)
-    for i, la in enumerate(labels):
-        a1, b1 = pairs[la]
-        for lb in labels[i:]:
-            if la == unit or lb == unit:
-                continue
-            a2, b2 = pairs[lb]
-            result: dict[str, int] = {}
-            for ra, ca in left.basis_product(a1, a2):
-                for rb, cb in right.basis_product(b1, b2):
-                    result[tensor_label(ra, rb)] = ca * cb
-            if result:
-                products[(la, lb)] = result
-
-    # Tensor products of validated associative rings stay associative;
-    # re-verification is skipped to keep large products affordable.
-    ring = ManifoldRing(
-        left.mode,
-        top,
-        basis,
-        products,
-        tensor_label(left.fundamental_label, right.fundamental_label),
-        orientable=left.orientable and right.orientable,
-        verify=False,
-    )
-    ring.tensor_pairs = pairs
-    ring.tensor_factors = (left, right)
-
+    by_left, by_right = left.basis_by_degree, right.basis_by_degree
+    bidegrees = sorted(itertools.product(by_left, by_right), key=lambda d: (d[0] + d[1], d[0]))
+    pairs = [p for da, db in bidegrees for p in itertools.product(by_left[da], by_right[db])]
+    ring = TensorRing(left, right, pairs)
+    label = ring.label_of
     inject_left = RingMap(
-        left,
-        ring,
-        {l: ring.basis_element(tensor_label(l, right.unit_label)) for l in left.labels},
+        left, ring, {l: ring.basis_element(label[l, right.unit_label]) for l in left.labels}
     )
     inject_right = RingMap(
-        right,
-        ring,
-        {l: ring.basis_element(tensor_label(left.unit_label, l)) for l in right.labels},
+        right, ring, {l: ring.basis_element(label[left.unit_label, l]) for l in right.labels}
     )
     return ring, inject_left, inject_right
 
@@ -587,13 +599,12 @@ def tensor_component(
 ) -> GradedElement:
     """Part of a tensor-ring element whose factors sit in the given bidegree."""
     ring = c.ring
-    if ring.tensor_pairs is None or ring.tensor_factors is None:
+    if not isinstance(ring, TensorRing):
         raise PresentationError("element does not belong to a tensor ring")
-    left, right = ring.tensor_factors
     picked = {}
     for label, coefficient in c.coeffs.items():
-        a, b = ring.tensor_pairs[label]
-        if left.degree_of[a] == left_degree and right.degree_of[b] == right_degree:
+        a, b = ring.pairs[label]
+        if ring.left.degree_of[a] == left_degree and ring.right.degree_of[b] == right_degree:
             picked[label] = coefficient
     return GradedElement(ring, picked)
 
@@ -693,17 +704,24 @@ def make_ring(spec: Mapping) -> ManifoldRing:
     for key in ("mode", "topDim", "basis", "fundamental"):
         if key not in spec:
             raise PresentationError(f"ring presentation is missing {key!r}")
+    for key in ("basis", "products"):
+        if not isinstance(spec.get(key, []), list):
+            raise PresentationError(f"ring presentation field {key!r} must be a list")
+    if not isinstance(spec.get("orientable", True), bool):
+        raise PresentationError("ring presentation field 'orientable' must be true or false")
     basis = []
     for entry in spec["basis"]:
         if not isinstance(entry, Mapping) or "label" not in entry or "degree" not in entry:
             raise PresentationError("basis entries must carry label and degree")
         basis.append((entry["label"], entry["degree"]))
     products: dict[tuple[str, str], dict[str, int]] = {}
-    for entry in spec.get("products", ()):
+    for entry in spec.get("products", []):
         if not isinstance(entry, Mapping) or "a" not in entry or "b" not in entry:
             raise PresentationError("product entries must carry a, b and result")
+        if not isinstance(entry.get("result", []), list):
+            raise PresentationError(f"product {entry['a']!r}*{entry['b']!r}: 'result' must be a list")
         result = {}
-        for term in entry.get("result", ()):
+        for term in entry.get("result", []):
             if not isinstance(term, Mapping) or "label" not in term or "coeff" not in term:
                 raise PresentationError("product results must be label/coeff pairs")
             if term["label"] in result:
@@ -721,7 +739,7 @@ def make_ring(spec: Mapping) -> ManifoldRing:
         basis,
         products,
         spec["fundamental"],
-        orientable=bool(spec.get("orientable", True)),
+        orientable=spec.get("orientable", True),
     )
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,8 @@ from jetstrata import cli
 from jetstrata.selfcheck import check_determinant_oracle, check_ring_fixture
 
 from conftest import FOUR_MANIFOLD_SPEC
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +220,16 @@ def test_filtration_run_command(capsys, tmp_path):
     assert stage["productObstruction"]["isZero"] is False
 
 
+def test_depth2_filtration_run_report_is_unchanged(capsys):
+    # Stages of dimension 32/72/128 on one generator each, of degree 8/12/16:
+    # a 315-label product ring.  The expected report was recorded with the
+    # implementation that stored the full Künneth product table.
+    status = cli.main(["filtration", "run", "--spec", str(DATA / "filtration_depth2_run.json")])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert out.encode("utf-8") == (DATA / "filtration_depth2_report.json").read_bytes()
+
+
 def test_reports_are_byte_identical(capsys, ring_file, bundle_file):
     argv = [
         "porteous", "--variant", "pontrjagin",
@@ -288,6 +301,35 @@ def test_malformed_ring_exits_2_naming_invariant(capsys, tmp_path, bundle_file):
     )
     assert status == 2
     assert "MissingFundamental" in err or "PresentationError" in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("orientable", "no"),
+        ("basis", 5),
+        ("products", 5),
+        ("result", 5),
+    ],
+)
+def test_ill_typed_ring_field_exits_2_naming_it(capsys, tmp_path, bundle_file, field, value):
+    bad = dict(FOUR_MANIFOLD_SPEC)
+    if field == "result":
+        bad["products"] = [{"a": "x", "b": "x", "result": value}]
+    else:
+        bad[field] = value
+    path = tmp_path / "bad.json"
+    write_json(path, bad)
+    status, out, err = run_cli(
+        capsys,
+        "porteous", "--variant", "pontrjagin",
+        "--ring", str(path), "--bundle", str(bundle_file),
+        "--i", "2", "--n", "4", "--p", "4",
+    )
+    assert status == 2
+    assert out == ""
+    assert err.startswith("PresentationError") and repr(field) in err
+    assert "Traceback" not in err
 
 
 def test_porteous_sw_command(capsys, tmp_path):

@@ -107,6 +107,29 @@ def test_non_associative_detection():
         ManifoldRing("integer_mod_torsion", 6, basis, products, "d")
 
 
+def test_non_associative_triple_at_top_degree_detected():
+    # Every bounded triple sits exactly at top_dim; only (a, a, b) fails:
+    # (a*a)*b = c*b = t but (a*b)*a = 0.
+    basis = [("1", 0), ("a", 2), ("b", 2), ("c", 4), ("t", 6)]
+    products = {("a", "a"): {"c": 1}, ("b", "c"): {"t": 1}}
+    with pytest.raises(NonAssociative, match="'a', 'a', 'b'"):
+        ManifoldRing("integer_mod_torsion", 6, basis, products, "t")
+
+
+def test_bounded_triples_match_filtered_brute_force():
+    ordered = truncated_polynomial_ring(
+        "mod2", 8, [("u", 1), ("v", 2), ("w", 3)], fundamental="u^8"
+    )
+    spec = ordered.serialize()
+    spec["basis"] = spec["basis"][::-1]  # positions no longer follow degrees
+    for ring in (ordered, make_ring(spec)):
+        nonunit = [l for l in ring.labels if l != ring.unit_label]
+        every = list(itertools.combinations_with_replacement(nonunit, 3))
+        bounded = [t for t in every if sum(ring.degree_of[l] for l in t) <= ring.top_dim]
+        assert 0 < len(bounded) < len(every)
+        assert list(ring._bounded_triples()) == bounded
+
+
 def test_missing_fundamental():
     with pytest.raises(MissingFundamental):
         ManifoldRing("integer_mod_torsion", 4, [("1", 0), ("x", 2)], {}, None)
@@ -327,6 +350,14 @@ def test_serialize_round_trip(four_ring):
     again = make_ring(spec)
     assert again.serialize() == spec
     assert spec["basis"] == FOUR_MANIFOLD_SPEC["basis"]
+
+
+def test_make_ring_reads_orientable_as_a_json_bool():
+    assert make_ring(dict(FOUR_MANIFOLD_SPEC, orientable=False)).orientable is False
+    assert make_ring(FOUR_MANIFOLD_SPEC).orientable is True
+    for value in ("no", 0, None):
+        with pytest.raises(PresentationError, match="orientable"):
+            make_ring(dict(FOUR_MANIFOLD_SPEC, orientable=value))
 
 
 def test_element_spec_round_trip(four_ring):

@@ -1,0 +1,159 @@
+"""The factored Künneth ring against a materialized product table.
+
+The oracle tensors two rings the direct way: every pair of product labels is
+multiplied through the factor tables once and the results are stored in a
+plain ``ManifoldRing``, which also runs its own associativity check.  The
+factored ring must agree with it on every basis product and serialize to the
+same document.
+"""
+
+import itertools
+
+import pytest
+
+from jetstrata.gring import (
+    TENSOR_SEPARATOR,
+    ManifoldRing,
+    PresentationError,
+    TensorRing,
+    kunneth_product,
+    make_ring,
+    tensor_component,
+    truncated_polynomial_ring,
+)
+
+from conftest import four_manifold_ring
+
+
+def materialized_kunneth(left: ManifoldRing, right: ManifoldRing) -> ManifoldRing:
+    """H*(left) ⊗ H*(right) with its full product table stored."""
+
+    def label(a, b):
+        return f"{a}{TENSOR_SEPARATOR}{b}"
+
+    pairs = sorted(
+        itertools.product(left.labels, right.labels),
+        key=lambda p: (
+            left.degree_of[p[0]] + right.degree_of[p[1]],
+            left.degree_of[p[0]],
+            left.position[p[0]],
+            right.position[p[1]],
+        ),
+    )
+    basis = [(label(a, b), left.degree_of[a] + right.degree_of[b]) for a, b in pairs]
+    products = {}
+    for (a1, b1), (a2, b2) in itertools.combinations_with_replacement(pairs, 2):
+        if (a1, b1) == (left.unit_label, right.unit_label):
+            continue
+        result = {}
+        for ra, ca in left.basis_product(a1, a2):
+            for rb, cb in right.basis_product(b1, b2):
+                result[label(ra, rb)] = ca * cb
+        if result:
+            products[(label(a1, b1), label(a2, b2))] = result
+    return ManifoldRing(
+        left.mode,
+        left.top_dim + right.top_dim,
+        basis,
+        products,
+        label(left.fundamental_label, right.fundamental_label),
+        orientable=left.orientable and right.orientable,
+    )
+
+
+def mod2_two_term_ring():
+    # a*a has two terms, so products of the tensor ring have up to four.
+    basis = [("1", 0), ("a", 1), ("s", 2), ("t", 2)]
+    return ManifoldRing("mod2", 2, basis, {("a", "a"): {"s": 1, "t": 1}}, "t")
+
+
+def integer_two_term_ring():
+    return ManifoldRing(
+        "integer_mod_torsion",
+        4,
+        [("1", 0), ("x", 2), ("p", 4), ("q", 4)],
+        {("x", "x"): {"p": 1, "q": 3}},
+        "q",
+    )
+
+
+def four_by_four():
+    return four_manifold_ring(), four_manifold_ring()
+
+
+def mod2_odd_degrees():
+    return mod2_two_term_ring(), truncated_polynomial_ring("mod2", 3, [("u", 1)])
+
+
+def tensor_of_tensor():
+    # Coefficients other than 1 on both sides of both tensors.
+    inner, _, _ = kunneth_product(integer_two_term_ring(), integer_two_term_ring())
+    return inner, integer_two_term_ring()
+
+
+def oracle_factor(ring):
+    """A tensor factor as the oracle sees it: itself materialized."""
+    if isinstance(ring, TensorRing):
+        return materialized_kunneth(oracle_factor(ring.left), oracle_factor(ring.right))
+    return ring
+
+
+CASES = {
+    "four-by-four": four_by_four,
+    "mod2-odd-degrees": mod2_odd_degrees,
+    "tensor-of-tensor": tensor_of_tensor,
+}
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request):
+    left, right = CASES[request.param]()
+    product, _, _ = kunneth_product(left, right)
+    oracle = materialized_kunneth(oracle_factor(left), oracle_factor(right))
+    return product, oracle
+
+
+def test_factored_products_match_the_table(case):
+    product, oracle = case
+    assert product.labels == oracle.labels
+    assert product.degree_of == oracle.degree_of
+    assert product.fundamental_label == oracle.fundamental_label
+    for a, b in itertools.product(product.labels, repeat=2):
+        assert product.basis_product(a, b) == oracle.basis_product(a, b), (a, b)
+
+
+def test_tensor_ring_stores_no_table(case):
+    product, oracle = case
+    assert product._table == {}
+    assert oracle._table
+
+
+def test_serialize_matches_the_table_and_round_trips(case):
+    product, oracle = case
+    spec = product.serialize()
+    assert spec == oracle.serialize()
+    assert make_ring(spec).serialize() == spec
+
+
+def test_tensor_component_reads_the_factors(case):
+    product, oracle = case
+    everything = product.element({label: 1 for label in product.labels})
+    left, right = product.left, product.right
+    pieces = product.zero()
+    for dl, dr in itertools.product(left.basis_by_degree, right.basis_by_degree):
+        piece = tensor_component(everything, dl, dr)
+        pairs = len(left.basis_by_degree[dl]) * len(right.basis_by_degree[dr])
+        assert len(piece.coeffs) == pairs
+        pieces = pieces + piece
+    assert pieces == everything
+    with pytest.raises(PresentationError):
+        tensor_component(oracle.unit(), 0, 0)
+
+
+def test_tensor_products_have_multiple_terms():
+    # Guards the cases above against degenerating to single-term products.
+    left, right = mod2_odd_degrees()
+    product, _, _ = kunneth_product(left, right)
+    a_u = f"a{TENSOR_SEPARATOR}u"
+    assert len(product.basis_product(a_u, a_u)) == 2
+    assert any(d % 2 for d in product.degree_of.values())
