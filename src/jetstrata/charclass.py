@@ -80,7 +80,9 @@ class VirtualBundle:
         self.ring = ring
         self.total_positive = total_positive
         self.total_negative_pulled = total_negative_pulled
-        self._total_virtual: GradedElement | None = None
+        # (degree the cached total is exact through, the total); one
+        # attribute, so a reader never pairs a value with another's degree.
+        self._virtual_cache = (-1, ring.zero())
 
     @property
     def variant(self) -> ClassVariant:
@@ -88,13 +90,23 @@ class VirtualBundle:
             return ClassVariant.STIEFEL_WHITNEY
         return ClassVariant.PONTRJAGIN
 
-    def virtual_total(self) -> GradedElement:
-        """Total class of the difference bundle (cached)."""
-        if self._total_virtual is None:
-            self._total_virtual = self.total_positive * invert_total_class(
-                self.total_negative_pulled
-            )
-        return self._total_virtual
+    def virtual_total(self, through: int | None = None) -> GradedElement:
+        """Total class of the difference bundle, exact in every degree up to
+        ``through`` (all degrees when None) and zero above the degree it is
+        exact through.
+
+        The value is cached with that degree and recomputed only when a
+        caller asks for a higher one.  Parts above the bound are dropped from
+        both factors first: the degree-d part of a product depends only on
+        the factors' parts of degree <= d.
+        """
+        bound = self.ring.top_dim if through is None else min(through, self.ring.top_dim)
+        exact_through, total = self._virtual_cache
+        if exact_through < bound:
+            inverse = invert_total_class(self.total_negative_pulled, bound)
+            total = (self.total_positive.truncated(bound) * inverse).truncated(bound)
+            self._virtual_cache = (bound, total)
+        return total
 
 
 def class_of_virtual(bundle: VirtualBundle, j: int) -> GradedElement:
@@ -107,7 +119,7 @@ def class_of_virtual(bundle: VirtualBundle, j: int) -> GradedElement:
     if j == 0:
         return bundle.ring.unit()
     degree = j if bundle.variant is ClassVariant.STIEFEL_WHITNEY else 4 * j
-    return bundle.virtual_total().component(degree)
+    return bundle.virtual_total(degree).component(degree)
 
 
 @dataclass(frozen=True)
@@ -188,6 +200,9 @@ def _class_matrix(bundle: VirtualBundle, center: int, size: int) -> list[list[Gr
             classes[index] = class_of_virtual(bundle, index)
         return classes[index]
 
+    # The highest index first, so the bundle's total is computed once, through
+    # the highest degree any entry reads.
+    entry(center + size - 1)
     return [[entry(center + s - t) for t in range(size)] for s in range(size)]
 
 
@@ -247,8 +262,8 @@ def w_table_polynomial(p: int, bundle: VirtualBundle) -> ObstructionClass:
     if p in (5, 6, 7):
         value = bundle.ring.zero()
     else:
+        second = class_of_virtual(bundle, 2)  # first, so the total is computed once
         first = class_of_virtual(bundle, 1)
-        second = class_of_virtual(bundle, 2)
         value = 9 * second + 3 * (first * first)
     return ObstructionClass(value, p, p, ClassVariant.W_TABLE)
 

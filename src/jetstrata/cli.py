@@ -19,7 +19,13 @@ from . import charclass, criteria, filtration, gring, selfcheck, symbols
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise gring.PresentationError(
+                f"{path}: JSON nests deeper than the parser's limit of about "
+                f"{sys.getrecursionlimit()} levels"
+            ) from None
 
 
 def _load_ring(path: str) -> gring.ManifoldRing:

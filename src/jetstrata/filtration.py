@@ -27,6 +27,7 @@ from .gring import (
     RingMismatch,
     compose,
     identity_map,
+    is_integer,
     kunneth_product,
 )
 from .symbols import INFINITE_ORDER, JetContext
@@ -57,22 +58,31 @@ def _cubic_cap(index: int) -> int:
     return 4 * index**3 - 6 * index**2
 
 
-_caps: list[int] = [_cubic_cap(1)]
+#: Caps of the indices 1..1024, fixed at import.  Budgets up to the last one
+#: are answered by a C-level bisection of this table, which keeps a call as
+#: cheap as a lookup; larger budgets by integer bisection on the cubic.
+_SMALL_CAPS = tuple(_cubic_cap(index) for index in range(1, 1025))
 
 
 def next_index(budget: int) -> int:
     """Smallest index i >= 1 with 4i^3 - 2i^2 >= 4i^2 + budget.
 
-    The predicate is monotone in i, so the answer is a bisection against the
-    precomputed caps 4i^3 - 6i^2; the cap table grows on demand, making the
-    recursion total for every budget.
+    The cap 4i^3 - 6i^2 is increasing for i >= 1, so the answer is a
+    bisection on it, in O(log budget) steps for every budget.
     """
-    if not isinstance(budget, int) or budget < 0:
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
         raise FiltrationError(f"budget must be a nonnegative integer, got {budget!r}")
-    caps = _caps
-    while caps[-1] < budget:
-        caps.append(_cubic_cap(len(caps) + 1))
-    return bisect_left(caps, budget) + 1
+    if budget <= _SMALL_CAPS[-1]:
+        return bisect_left(_SMALL_CAPS, budget) + 1
+    # high clears the budget: 4i^3 - 6i^2 >= 2i^3 for i >= 3, and high^3 >= 2^bit_length.
+    low, high = len(_SMALL_CAPS) + 1, 1 << (budget.bit_length() // 3 + 2)
+    while low < high:
+        middle = (low + high) // 2
+        if _cubic_cap(middle) >= budget:
+            high = middle
+        else:
+            low = middle + 1
+    return low
 
 
 @dataclass(frozen=True)
@@ -116,7 +126,7 @@ def build_run(depth: int, schedule, stage_bundles) -> FiltrationRun:
     ``stage_bundles`` the d+1 stage difference bundles, each on a ring of
     dimension 8*i_t^2 declared orientable, with nonzero stage obstruction.
     """
-    if not isinstance(depth, int) or depth < 0:
+    if not is_integer(depth) or depth < 0:
         raise FiltrationError(f"depth must be a nonnegative integer, got {depth!r}")
     schedule = tuple(schedule)
     if len(schedule) < depth + 2:
@@ -124,7 +134,7 @@ def build_run(depth: int, schedule, stage_bundles) -> FiltrationRun:
             f"schedule must list budgets l_0..l_{depth + 1}, got {len(schedule)} entries"
         )
     for value in schedule:
-        if not isinstance(value, int) or value < 0:
+        if not is_integer(value) or value < 0:
             raise ScheduleNotIncreasing(f"budgets must be nonnegative integers, got {value!r}")
     for a, b in zip(schedule, schedule[1:]):
         if b <= a:

@@ -75,6 +75,11 @@ class ConsistencyError(RuntimeError):
     """An identity the toolkit itself guarantees failed; indicates a bug."""
 
 
+def is_integer(value) -> bool:
+    """True for an int that is not a bool: JSON ``true`` is not the number 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class ManifoldRing:
     """Finite graded basis + structure constants, modelling H*(P) of a closed
     manifold modulo torsion (integer mode) or with mod-2 coefficients.
@@ -98,7 +103,7 @@ class ManifoldRing:
         verify: bool = True,
     ):
         self.mode = CoefficientMode.parse(mode)
-        if not isinstance(top_dim, int) or top_dim < 0:
+        if not is_integer(top_dim) or top_dim < 0:
             raise PresentationError(f"top dimension must be a nonnegative integer, got {top_dim!r}")
         self.top_dim = top_dim
         self.orientable = bool(orientable)
@@ -117,7 +122,7 @@ class ManifoldRing:
                 raise PresentationError(f"basis label must be a nonempty string, got {label!r}")
             if label in degree_of:
                 raise PresentationError(f"duplicate basis label {label!r}")
-            if not isinstance(degree, int) or degree < 0:
+            if not is_integer(degree) or degree < 0:
                 raise PresentationError(f"basis degree must be a nonnegative integer, got {degree!r}")
             if degree > top_dim:
                 raise DegreeOverflowEntry(
@@ -150,7 +155,7 @@ class ManifoldRing:
                     f"no unique top-degree label in degree {top_dim}; pass fundamental explicitly"
                 )
             fundamental = top_labels[0]
-        if fundamental not in degree_of or degree_of[fundamental] != top_dim:
+        if not isinstance(fundamental, str) or degree_of.get(fundamental) != top_dim:
             raise MissingFundamental(
                 f"fundamental label {fundamental!r} is not a degree-{top_dim} basis element"
             )
@@ -179,7 +184,7 @@ class ManifoldRing:
         for label, coefficient in result.items():
             if label not in self.degree_of:
                 raise PresentationError(f"product {a!r}*{b!r} targets unknown label {label!r}")
-            if not isinstance(coefficient, int):
+            if not is_integer(coefficient):
                 raise PresentationError(f"coefficient of {label!r} in {a!r}*{b!r} must be an integer")
             value = self._normal(coefficient)
             if value == 0:
@@ -383,6 +388,13 @@ class GradedElement:
             self.ring, {l: c for l, c in self.coeffs.items() if deg[l] == degree}
         )
 
+    def truncated(self, degree: int) -> "GradedElement":
+        """Sum of the components of degree at most ``degree``."""
+        deg = self.ring.degree_of
+        return GradedElement(
+            self.ring, {l: c for l, c in self.coeffs.items() if deg[l] <= degree}
+        )
+
     def support_degrees(self) -> tuple[int, ...]:
         deg = self.ring.degree_of
         return tuple(sorted({deg[l] for l in self.coeffs}))
@@ -407,23 +419,27 @@ def pair_fundamental(c: GradedElement) -> int:
     return c.coeffs.get(c.ring.fundamental_label, 0)
 
 
-def invert_total_class(c: GradedElement) -> GradedElement:
-    """Formal inverse of a total class with unit leading term.
+def invert_total_class(c: GradedElement, through: int | None = None) -> GradedElement:
+    """Formal inverse of a total class with unit leading term, exact in every
+    degree up to ``through`` (all degrees when None) and zero above it.
 
     Computed degree by degree: the degree-d part of the inverse is minus the
-    convolution of the known lower parts with the positive parts of ``c``,
-    truncated at the ring's top dimension.
+    convolution of the known lower parts with the positive parts of ``c``.
+    Only degrees that carry basis labels are visited; the part in any other
+    degree is zero.  The degree-d part depends only on parts of degree <= d,
+    so stopping at ``through`` changes nothing below it.
     """
     ring = c.ring
     if c.component(0) != ring.unit():
         raise NotAUnit("total class must have degree-0 component equal to 1")
+    bound = ring.top_dim if through is None else min(through, ring.top_dim)
     parts: dict[int, GradedElement] = {0: ring.unit()}
-    c_parts = {d: c.component(d) for d in c.support_degrees() if d > 0}
+    c_parts = {d: c.component(d) for d in c.support_degrees() if 0 < d <= bound}
     inverse = ring.unit()
-    for d in range(1, ring.top_dim + 1):
+    for d in sorted(d for d in ring.basis_by_degree if 0 < d <= bound):
         acc = ring.zero()
         for e, ce in c_parts.items():
-            if 0 < e <= d:
+            if d - e in parts:
                 acc = acc + ce * parts[d - e]
         parts[d] = -acc
         inverse = inverse + parts[d]
@@ -675,13 +691,17 @@ def is_degreewise_injective(m: RingMap) -> bool:
 
 
 def element_from_spec(ring: ManifoldRing, entries: Iterable[Mapping]) -> GradedElement:
+    if not isinstance(entries, list):
+        raise PresentationError("element must be a list of label/coeff entries")
     coeffs: dict[str, int] = {}
     for entry in entries:
+        if not isinstance(entry, Mapping):
+            raise PresentationError("element entries must be label/coeff objects")
         label = entry.get("label")
         coefficient = entry.get("coeff")
-        if label not in ring.degree_of:
+        if not isinstance(label, str) or label not in ring.degree_of:
             raise PresentationError(f"unknown basis label {label!r} in element")
-        if not isinstance(coefficient, int):
+        if not is_integer(coefficient):
             raise PresentationError(f"coefficient of {label!r} must be an integer")
         if label in coeffs:
             raise PresentationError(f"duplicate label {label!r} in element")
@@ -718,12 +738,19 @@ def make_ring(spec: Mapping) -> ManifoldRing:
     for entry in spec.get("products", []):
         if not isinstance(entry, Mapping) or "a" not in entry or "b" not in entry:
             raise PresentationError("product entries must carry a, b and result")
+        for key in ("a", "b"):
+            if not isinstance(entry[key], str):
+                raise PresentationError(f"product entry field {key!r} must be a label string")
         if not isinstance(entry.get("result", []), list):
             raise PresentationError(f"product {entry['a']!r}*{entry['b']!r}: 'result' must be a list")
         result = {}
         for term in entry.get("result", []):
             if not isinstance(term, Mapping) or "label" not in term or "coeff" not in term:
                 raise PresentationError("product results must be label/coeff pairs")
+            if not isinstance(term["label"], str):
+                raise PresentationError(
+                    f"product {entry['a']!r}*{entry['b']!r}: result 'label' must be a string"
+                )
             if term["label"] in result:
                 raise PresentationError(
                     f"duplicate target {term['label']!r} in product {entry['a']!r}*{entry['b']!r}"

@@ -29,6 +29,7 @@ from jetstrata.gring import (
     invert_total_class,
     truncated_polynomial_ring,
 )
+from jetstrata.selfcheck import leibniz_det
 from jetstrata.symbols import (
     INFINITE_ORDER,
     BoardmanSymbol,
@@ -65,20 +66,6 @@ def assert_within(budget, body):
             return
         gc.collect()
     raise AssertionError(f"took {elapsed:.2f}s, budget {budget}s")
-
-
-def leibniz_det(matrix, ring):
-    size = len(matrix)
-    total = ring.zero()
-    for perm in itertools.permutations(range(size)):
-        inversions = sum(
-            1 for a in range(size) for b in range(a + 1, size) if perm[a] > perm[b]
-        )
-        term = ring.unit()
-        for row, col in enumerate(perm):
-            term = term * matrix[row][col]
-        total = total + (term if inversions % 2 == 0 else -term)
-    return total
 
 
 def test_criterion_1_codimension_bound_suite():

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -18,23 +17,10 @@ from jetstrata.charclass import (
     w_table_polynomial,
 )
 from jetstrata.gring import NotAUnit, RingMismatch, truncated_polynomial_ring
+from jetstrata.selfcheck import leibniz_det
 from jetstrata.symbols import JetContext
 
 from conftest import four_manifold_ring
-
-
-def leibniz_det(matrix, ring):
-    size = len(matrix)
-    total = ring.zero()
-    for perm in itertools.permutations(range(size)):
-        inversions = sum(
-            1 for a in range(size) for b in range(a + 1, size) if perm[a] > perm[b]
-        )
-        term = ring.unit()
-        for row, col in enumerate(perm):
-            term = term * matrix[row][col]
-        total = total + (term if inversions % 2 == 0 else -term)
-    return total
 
 
 def zero_bundle(ring):

@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -330,6 +331,101 @@ def test_ill_typed_ring_field_exits_2_naming_it(capsys, tmp_path, bundle_file, f
     assert out == ""
     assert err.startswith("PresentationError") and repr(field) in err
     assert "Traceback" not in err
+
+
+# Porteous inputs (ring and bundle documents, then the command's options) and a
+# depth-1 run document cut from the depth-2 one: valid bases to corrupt.
+PORTEOUS_CASES = {
+    "four": (
+        {
+            "ring": FOUR_MANIFOLD_SPEC,
+            "bundle": {
+                "totalPositive": [{"label": "1", "coeff": 1}, {"label": "x2", "coeff": 3}],
+                "totalNegativePulled": [{"label": "1", "coeff": 1}],
+            },
+        },
+        ["--variant", "pontrjagin", "--i", "2", "--n", "4", "--p", "4"],
+    ),
+    "line": (
+        {
+            "ring": {
+                "mode": "mod2",
+                "topDim": 1,
+                "basis": [{"label": "1", "degree": 0}, {"label": "w", "degree": 1}],
+                "products": [],
+                "fundamental": "w",
+            },
+            "bundle": {
+                "totalPositive": [{"label": "1", "coeff": 1}, {"label": "w", "coeff": 1}],
+                "totalNegativePulled": [{"label": "1", "coeff": 1}],
+            },
+        },
+        ["--variant", "sw", "--i", "1", "--n", "1", "--p", "1"],
+    ),
+}
+
+
+def _replaced(document, path, value):
+    document = copy.deepcopy(document)
+    target = document
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return document
+
+
+@pytest.mark.parametrize(
+    "base, path, value, named",
+    [
+        ("line", ["ring", "basis", 1, "degree"], True, "degree"),
+        ("line", ["ring", "topDim"], True, "top dimension"),
+        ("four", ["ring", "products", 0, "result", 0, "coeff"], True, "coefficient"),
+        ("four", ["ring", "products", 0, "a"], ["x"], "'a'"),
+        ("four", ["ring", "products", 0, "b"], {"x": 1}, "'b'"),
+        ("four", ["ring", "products", 0, "result", 0, "label"], ["x2"], "'label'"),
+        ("four", ["ring", "fundamental"], ["x2"], "fundamental"),
+        ("four", ["bundle", "totalPositive", 1, "coeff"], True, "coefficient"),
+        ("four", ["bundle", "totalPositive", 1, "label"], ["x2"], "label"),
+        ("four", ["bundle", "totalPositive"], 5, "element"),
+        ("four", ["bundle", "totalNegativePulled", 0], "1", "element entries"),
+        ("run", ["d"], True, "depth"),
+        ("run", ["schedule", 0], True, "budgets"),
+    ],
+)
+def test_ill_typed_json_value_exits_2_naming_it(capsys, tmp_path, base, path, value, named):
+    if base == "run":
+        depth2 = json.loads((DATA / "filtration_depth2_run.json").read_text(encoding="utf-8"))
+        document = {"d": 1, "schedule": depth2["schedule"][:3], "stages": depth2["stages"][:2]}
+        write_json(tmp_path / "run.json", _replaced(document, path, value))
+        argv = ["filtration", "run", "--spec", str(tmp_path / "run.json")]
+    else:
+        documents, options = PORTEOUS_CASES[base]
+        documents = _replaced(documents, path, value)
+        for name in ("ring", "bundle"):
+            write_json(tmp_path / f"{name}.json", documents[name])
+        argv = [
+            "porteous", *options,
+            "--ring", str(tmp_path / "ring.json"), "--bundle", str(tmp_path / "bundle.json"),
+        ]
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_json_exits_2_naming_the_limit(capsys, tmp_path, bundle_file):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    status, out, err = run_cli(
+        capsys,
+        "porteous", "--variant", "pontrjagin",
+        "--ring", str(path), "--bundle", str(bundle_file),
+        "--i", "2", "--n", "4", "--p", "4",
+    )
+    assert status == 2
+    assert out == ""
+    assert err.startswith("PresentationError") and "nests deeper" in err
 
 
 def test_porteous_sw_command(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from jetstrata.charclass import VirtualBundle, class_of_virtual, porteous_pontrjagin
@@ -65,6 +67,41 @@ def test_next_index_defining_inequality_is_tight():
 def test_next_index_rejects_negative():
     with pytest.raises(FiltrationError):
         next_index(-1)
+    with pytest.raises(FiltrationError):
+        next_index(True)
+
+
+def clears(index, budget):
+    return 4 * index**3 - 2 * index**2 >= 4 * index**2 + budget
+
+
+def test_next_index_matches_a_cap_table_oracle():
+    # The cap table grown index by index, searched linearly: the definition.
+    caps = []
+    index = 0
+    for budget in range(100_001):
+        while not caps or caps[-1] < budget:
+            index += 1
+            caps.append(4 * index**3 - 6 * index**2)
+        expected = next(i for i, cap in enumerate(caps, 1) if cap >= budget)
+        assert next_index(budget) == expected, budget
+
+
+def test_next_index_is_tight_for_large_budgets():
+    # Budgets on both sides of each cap of indices 1020..1030, then huge ones.
+    budgets = [4 * i**3 - 6 * i**2 + delta for i in range(1020, 1031) for delta in (-1, 0, 1)]
+    budgets += [10**24, 10**24 + 1, 7**100, 2**4000 - 1]
+    for budget in budgets:
+        i = next_index(budget)
+        assert clears(i, budget), budget
+        assert i == 1 or not clears(i - 1, budget), budget
+
+
+def test_next_index_of_a_huge_budget_is_quick():
+    start = time.perf_counter()
+    i = next_index(10**24)
+    assert time.perf_counter() - start < 1.0
+    assert clears(i, 10**24) and not clears(i - 1, 10**24)
 
 
 def test_single_stage_run():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -190,6 +191,18 @@ def test_invert_total_class_requires_unit(four_ring):
         invert_total_class(four_ring.basis_element("x"))
     with pytest.raises(NotAUnit):
         invert_total_class(2 * four_ring.unit())
+
+
+def test_invert_total_class_visits_only_basis_degrees():
+    # Three labels under a huge top dimension: the inverse loops over the two
+    # degrees the basis has, not over every degree up to topDim.
+    ring = ManifoldRing(
+        "integer_mod_torsion", 100_000_000, [("1", 0), ("x", 4), ("f", 100_000_000)]
+    )
+    start = time.perf_counter()
+    inverse = invert_total_class(ring.element({"1": 1, "x": 1, "f": 2}))
+    assert time.perf_counter() - start < 1.0
+    assert inverse == ring.element({"1": 1, "x": -1, "f": -2})
 
 
 def test_invert_involution_randomized(four_ring):
