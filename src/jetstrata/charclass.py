@@ -262,7 +262,8 @@ def w_table_polynomial(p: int, bundle: VirtualBundle) -> ObstructionClass:
     if p in (5, 6, 7):
         value = bundle.ring.zero()
     else:
-        second = class_of_virtual(bundle, 2)  # first, so the total is computed once
+        # The higher class first, so the total is computed once, through degree 8.
+        second = class_of_virtual(bundle, 2)
         first = class_of_virtual(bundle, 1)
         value = 9 * second + 3 * (first * first)
     return ObstructionClass(value, p, p, ClassVariant.W_TABLE)

@@ -243,6 +243,9 @@ def _run_filtration(args) -> dict:
     document = _load_json(args.spec)
     if not isinstance(document, dict) or "d" not in document or "schedule" not in document:
         raise gring.PresentationError("run document must carry d, schedule and stages")
+    for key in ("schedule", "stages"):
+        if not isinstance(document.get(key, []), list):
+            raise gring.PresentationError(f"run document field {key!r} must be a list")
     bundles = []
     for entry in document.get("stages", ()):
         if not isinstance(entry, dict) or "ring" not in entry or "bundle" not in entry:

@@ -58,10 +58,11 @@ def _cubic_cap(index: int) -> int:
     return 4 * index**3 - 6 * index**2
 
 
-#: Caps of the indices 1..1024, fixed at import.  Budgets up to the last one
-#: are answered by a C-level bisection of this table, which keeps a call as
-#: cheap as a lookup; larger budgets by integer bisection on the cubic.
-_SMALL_CAPS = tuple(_cubic_cap(index) for index in range(1, 1025))
+#: Caps of the indices 1..256, fixed at import.  Budgets up to the last one
+#: (66,715,648) are answered by a C-level bisection of this table, which
+#: keeps a call as cheap as a lookup; larger budgets by integer bisection on
+#: the cubic.
+_SMALL_CAPS = tuple(_cubic_cap(index) for index in range(1, 257))
 
 
 def next_index(budget: int) -> int:

@@ -690,7 +690,7 @@ def is_degreewise_injective(m: RingMap) -> bool:
 # -- presentation documents -------------------------------------------------
 
 
-def element_from_spec(ring: ManifoldRing, entries: Iterable[Mapping]) -> GradedElement:
+def element_from_spec(ring: ManifoldRing, entries: list[Mapping]) -> GradedElement:
     if not isinstance(entries, list):
         raise PresentationError("element must be a list of label/coeff entries")
     coeffs: dict[str, int] = {}

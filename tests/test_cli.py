@@ -390,6 +390,8 @@ def _replaced(document, path, value):
         ("four", ["bundle", "totalNegativePulled", 0], "1", "element entries"),
         ("run", ["d"], True, "depth"),
         ("run", ["schedule", 0], True, "budgets"),
+        ("run", ["schedule"], 5, "'schedule'"),
+        ("run", ["stages"], None, "'stages'"),
     ],
 )
 def test_ill_typed_json_value_exits_2_naming_it(capsys, tmp_path, base, path, value, named):

@@ -88,8 +88,8 @@ def test_next_index_matches_a_cap_table_oracle():
 
 
 def test_next_index_is_tight_for_large_budgets():
-    # Budgets on both sides of each cap of indices 1020..1030, then huge ones.
-    budgets = [4 * i**3 - 6 * i**2 + delta for i in range(1020, 1031) for delta in (-1, 0, 1)]
+    # Budgets on both sides of each cap of indices 250..1030, then huge ones.
+    budgets = [4 * i**3 - 6 * i**2 + delta for i in range(250, 1031) for delta in (-1, 0, 1)]
     budgets += [10**24, 10**24 + 1, 7**100, 2**4000 - 1]
     for budget in budgets:
         i = next_index(budget)
