@@ -425,9 +425,10 @@ def invert_total_class(c: GradedElement, through: int | None = None) -> GradedEl
 
     Computed degree by degree: the degree-d part of the inverse is minus the
     convolution of the known lower parts with the positive parts of ``c``.
-    Only degrees that carry basis labels are visited; the part in any other
-    degree is zero.  The degree-d part depends only on parts of degree <= d,
-    so stopping at ``through`` changes nothing below it.
+    Only degrees that carry basis labels are visited, and only nonzero lower
+    parts are multiplied; the part in any other degree is zero.  The
+    degree-d part depends only on parts of degree <= d, so stopping at
+    ``through`` changes nothing below it.
     """
     ring = c.ring
     if c.component(0) != ring.unit():
@@ -439,7 +440,7 @@ def invert_total_class(c: GradedElement, through: int | None = None) -> GradedEl
     for d in sorted(d for d in ring.basis_by_degree if 0 < d <= bound):
         acc = ring.zero()
         for e, ce in c_parts.items():
-            if d - e in parts:
+            if parts.get(d - e):
                 acc = acc + ce * parts[d - e]
         parts[d] = -acc
         inverse = inverse + parts[d]
