@@ -333,8 +333,8 @@ def test_ill_typed_ring_field_exits_2_naming_it(capsys, tmp_path, bundle_file, f
     assert "Traceback" not in err
 
 
-# Porteous inputs (ring and bundle documents, then the command's options) and a
-# depth-1 run document cut from the depth-2 one: valid bases to corrupt.
+# Valid porteous inputs to corrupt: the ring and bundle documents, then the
+# command's options.
 PORTEOUS_CASES = {
     "four": (
         {
@@ -396,6 +396,7 @@ def _replaced(document, path, value):
 )
 def test_ill_typed_json_value_exits_2_naming_it(capsys, tmp_path, base, path, value, named):
     if base == "run":
+        # A valid depth-1 run document: the first two stages of the depth-2 one.
         depth2 = json.loads((DATA / "filtration_depth2_run.json").read_text(encoding="utf-8"))
         document = {"d": 1, "schedule": depth2["schedule"][:3], "stages": depth2["stages"][:2]}
         write_json(tmp_path / "run.json", _replaced(document, path, value))
