@@ -23,7 +23,6 @@ from .gring import (
     GradedElement,
     ManifoldRing,
     RingMap,
-    apply_map,
     invert_total_class,
     is_degreewise_injective,
     kunneth_product,
@@ -76,7 +75,6 @@ __all__ = [
     "GradedElement",
     "ManifoldRing",
     "RingMap",
-    "apply_map",
     "invert_total_class",
     "is_degreewise_injective",
     "kunneth_product",

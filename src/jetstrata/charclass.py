@@ -10,7 +10,7 @@ negative indices are zero).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .gring import (
@@ -21,7 +21,10 @@ from .gring import (
     ModeMismatch,
     NotAUnit,
     RingMismatch,
+    element_from_spec,
+    element_to_spec,
     invert_total_class,
+    read_field,
 )
 from .symbols import JetContext
 
@@ -130,6 +133,8 @@ class ObstructionClass:
     stratum_index: int
     expected_degree: int
     variant: ClassVariant
+    #: The class matrix whose determinant is ``value``; empty for the table.
+    matrix: tuple[tuple[GradedElement, ...], ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if not self.value.is_homogeneous(self.expected_degree):
@@ -192,7 +197,9 @@ def det_graded(
     return current.get((1 << size) - 1, owner.zero())
 
 
-def _class_matrix(bundle: VirtualBundle, center: int, size: int) -> list[list[GradedElement]]:
+def _class_matrix(
+    bundle: VirtualBundle, center: int, size: int
+) -> tuple[tuple[GradedElement, ...], ...]:
     classes: dict[int, GradedElement] = {}
 
     def entry(index: int) -> GradedElement:
@@ -203,7 +210,7 @@ def _class_matrix(bundle: VirtualBundle, center: int, size: int) -> list[list[Gr
     # The highest index first, so the bundle's total is computed once, through
     # the highest degree any entry reads.
     entry(center + size - 1)
-    return [[entry(center + s - t) for t in range(size)] for s in range(size)]
+    return tuple(tuple(entry(center + s - t) for t in range(size)) for s in range(size))
 
 
 def porteous_sw(i: int, ctx: JetContext, bundle: VirtualBundle) -> ObstructionClass:
@@ -218,8 +225,9 @@ def porteous_sw(i: int, ctx: JetContext, bundle: VirtualBundle) -> ObstructionCl
     size = ctx.p - ctx.n + i
     if size < 0:
         raise NegativeSize(f"matrix size p-n+i = {size} is negative")
-    value = det_graded(_class_matrix(bundle, i, size), ring=bundle.ring)
-    return ObstructionClass(value, i, size * i, ClassVariant.STIEFEL_WHITNEY)
+    matrix = _class_matrix(bundle, i, size)
+    value = det_graded(matrix, ring=bundle.ring)
+    return ObstructionClass(value, i, size * i, ClassVariant.STIEFEL_WHITNEY, matrix)
 
 
 def porteous_pontrjagin(i: int, ctx: JetContext, bundle: VirtualBundle) -> ObstructionClass:
@@ -240,8 +248,9 @@ def porteous_pontrjagin(i: int, ctx: JetContext, bundle: VirtualBundle) -> Obstr
     size = v - u
     if size < 0:
         raise NegativeSize(f"matrix size v-u = {size} is negative")
-    value = det_graded(_class_matrix(bundle, v, size), ring=bundle.ring)
-    return ObstructionClass(value, i, 4 * v * size, ClassVariant.PONTRJAGIN)
+    matrix = _class_matrix(bundle, v, size)
+    value = det_graded(matrix, ring=bundle.ring)
+    return ObstructionClass(value, i, 4 * v * size, ClassVariant.PONTRJAGIN, matrix)
 
 
 #: Integer obstruction polynomials of the full bounded-codimension stratum for
@@ -269,26 +278,17 @@ def w_table_polynomial(p: int, bundle: VirtualBundle) -> ObstructionClass:
     return ObstructionClass(value, p, p, ClassVariant.W_TABLE)
 
 
-def bundle_from_spec(ring: ManifoldRing, spec) -> VirtualBundle:
+def bundle_from_spec(ring: ManifoldRing, spec: dict) -> VirtualBundle:
     """Virtual bundle from its presentation document:
     {"totalPositive": [...], "totalNegativePulled": [...]}.
     """
-    from .gring import PresentationError, element_from_spec
-
-    if not isinstance(spec, dict):
-        raise PresentationError("bundle presentation must be a JSON object")
-    for key in ("totalPositive", "totalNegativePulled"):
-        if key not in spec:
-            raise PresentationError(f"bundle presentation is missing {key!r}")
-    return VirtualBundle(
-        element_from_spec(ring, spec["totalPositive"]),
-        element_from_spec(ring, spec["totalNegativePulled"]),
-    )
+    name = "bundle of two element lists"
+    positive = read_field(spec, "totalPositive", list, name)
+    negative = read_field(spec, "totalNegativePulled", list, name)
+    return VirtualBundle(element_from_spec(ring, positive), element_from_spec(ring, negative))
 
 
 def bundle_to_spec(bundle: VirtualBundle) -> dict:
-    from .gring import element_to_spec
-
     return {
         "totalPositive": element_to_spec(bundle.total_positive),
         "totalNegativePulled": element_to_spec(bundle.total_negative_pulled),

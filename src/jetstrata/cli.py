@@ -55,10 +55,6 @@ def _emit(report: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _order(value: str):
-    return symbols.parse_order(value)
-
-
 def _criterion_dict(report: criteria.CriterionReport) -> dict:
     return {
         "verdict": report.verdict,
@@ -91,7 +87,7 @@ def _jet_order_value(k) -> int | str:
 
 def _run_codim(args) -> dict:
     entries = tuple(int(part) for part in args.symbol.split(","))
-    k = _order(args.k)
+    k = symbols.parse_order(args.k)
     ctx = symbols.JetContext(args.n, args.p, k)
     symbol = symbols.validate_symbol(entries, ctx)
     bound = symbols.codim_lower_bound(symbol, ctx)
@@ -122,24 +118,14 @@ def _run_codim(args) -> dict:
 def _run_porteous(args) -> dict:
     ring = _load_ring(args.ring)
     bundle = _load_bundle(args.bundle, ring)
-    k = _order(args.k)
+    k = symbols.parse_order(args.k)
     ctx = symbols.JetContext(args.n, args.p, k)
     if args.variant == "sw":
         obstruction = charclass.porteous_sw(args.i, ctx, bundle)
-        center, size = args.i, ctx.p - ctx.n + args.i
         citations = ["stiefel-whitney-determinant-class"]
     else:
         obstruction = charclass.porteous_pontrjagin(args.i, ctx, bundle)
-        u, v = (ctx.n - ctx.p) // 2, args.i // 2
-        center, size = v, v - u
         citations = ["pontrjagin-determinant-class"]
-    matrix = [
-        [
-            gring.element_to_spec(charclass.class_of_virtual(bundle, center + s - t))
-            for t in range(size)
-        ]
-        for s in range(size)
-    ]
     inputs = {
         "ring": ring.serialize(),
         "bundle": charclass.bundle_to_spec(bundle),
@@ -150,8 +136,8 @@ def _run_porteous(args) -> dict:
         "k": _jet_order_value(ctx.k),
     }
     intermediates = {
-        "matrixSize": size,
-        "matrix": matrix,
+        "matrixSize": len(obstruction.matrix),
+        "matrix": [[gring.element_to_spec(e) for e in row] for row in obstruction.matrix],
         "obstruction": _obstruction_dict(obstruction),
     }
     return _report(
@@ -186,7 +172,7 @@ def _run_wtable(args) -> dict:
 
 
 def _run_criteria(args) -> dict:
-    k = _order(args.k)
+    k = symbols.parse_order(args.k)
     inputs = {"kind": args.kind, "n": args.n, "p": args.p, "i": args.i, "k": _jet_order_value(k)}
     if args.kind == "nonstable":
         report = criteria.nonstable_inclusion(args.n, args.p, args.i, k)
@@ -204,7 +190,7 @@ def _run_criteria(args) -> dict:
 def _run_verdict(args) -> dict:
     ring = _load_ring(args.ring)
     bundle = _load_bundle(args.bundle, ring)
-    k = _order(args.k)
+    k = symbols.parse_order(args.k)
     dims = (ring.top_dim, args.target_dim)
     report = criteria.nonexistence_verdict(bundle, args.i, args.l, k, dims, route=args.route)
     inputs = {
@@ -241,18 +227,14 @@ def _run_filtration(args) -> dict:
             ["stage-index-recursion"],
         )
     document = _load_json(args.spec)
-    if not isinstance(document, dict) or "d" not in document or "schedule" not in document:
-        raise gring.PresentationError("run document must carry d, schedule and stages")
-    for key in ("schedule", "stages"):
-        if not isinstance(document.get(key, []), list):
-            raise gring.PresentationError(f"run document field {key!r} must be a list")
+    depth = gring.read_field(document, "d", object, "run document")
+    schedule = gring.read_field(document, "schedule", list, "run document")
     bundles = []
-    for entry in document.get("stages", ()):
-        if not isinstance(entry, dict) or "ring" not in entry or "bundle" not in entry:
-            raise gring.PresentationError("stage entries must carry ring and bundle")
-        ring = gring.make_ring(entry["ring"])
-        bundles.append(charclass.bundle_from_spec(ring, entry["bundle"]))
-    run = filtration.build_run(document["d"], document["schedule"], bundles)
+    for entry in gring.read_field(document, "stages", list, "run document", []):
+        ring_spec = gring.read_field(entry, "ring", object, "stage entry")
+        bundle_spec = gring.read_field(entry, "bundle", object, "stage entry")
+        bundles.append(charclass.bundle_from_spec(gring.make_ring(ring_spec), bundle_spec))
+    run = filtration.build_run(depth, schedule, bundles)
     stage_rows = []
     for stage in run.stages:
         product = filtration.product_obstruction(run, stage.t)

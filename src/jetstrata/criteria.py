@@ -72,17 +72,10 @@ def _check_core(n: int, p: int, i: int) -> None:
 
 def nonstable_inclusion(n: int, p: int, i: int, k) -> CriterionReport:
     """Whether the kernel-rank-i stratum lies inside the nonstable-jet locus:
-    established when (p-n+i)*(i(i+1)/2 - p + n) - i^2 >= n and k >= p+1.
+    established when (p-n+i)*(i(i+1)/2 - p + n) - i^2 >= n and k >= p+1, which
+    is the orbit-codimension inclusion with budget 0.
     """
-    _check_core(n, p, i)
-    lhs = _inclusion_lhs(n, p, i)
-    k_required = p + 1
-    k_ok = _k_at_least(k, k_required)
-    established = lhs >= n and k_ok
-    notes = "" if k_ok else "jet order below the required minimum"
-    return CriterionReport(
-        ESTABLISHED if established else NOT_ESTABLISHED, lhs, n, k_required, 0, notes
-    )
+    return w_inclusion(n, p, i, 0, k)
 
 
 def w_inclusion(n: int, p: int, i: int, ell: int, k) -> CriterionReport:

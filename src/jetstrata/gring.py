@@ -80,6 +80,31 @@ def is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_REQUIRED = object()
+_KIND_NAMES = {dict: "a JSON object", list: "a list", str: "a non-empty string", bool: "true or false"}
+
+
+def read_field(document, key: str, kind: type, name: str, default=_REQUIRED):
+    """``document[key]``, checked to be a JSON value of ``kind``: ``dict``,
+    ``list``, ``str`` (non-empty), ``bool``, or ``object`` for any value.
+
+    ``document`` must be a JSON object.  An absent key gives ``default``, or
+    fails when there is none.  Every failure is a PresentationError naming the
+    document by ``name`` and the key.  Integers are checked where their range
+    is, with ``is_integer``.
+    """
+    if not isinstance(document, dict):
+        raise PresentationError(f"{name}: not a JSON object")
+    if key not in document:
+        if default is _REQUIRED:
+            raise PresentationError(f"{name}: missing field {key!r}")
+        return default
+    value = document[key]
+    if not isinstance(value, kind) or (kind is str and not value):
+        raise PresentationError(f"{name}: field {key!r} must be {_KIND_NAMES[kind]}")
+    return value
+
+
 class ManifoldRing:
     """Finite graded basis + structure constants, modelling H*(P) of a closed
     manifold modulo torsion (integer mode) or with mod-2 coefficients.
@@ -107,10 +132,6 @@ class ManifoldRing:
             raise PresentationError(f"top dimension must be a nonnegative integer, got {top_dim!r}")
         self.top_dim = top_dim
         self.orientable = bool(orientable)
-
-        # Optional metadata set by constructors below, never by hand.
-        self.generators: tuple[tuple[str, int], ...] | None = None
-        self.generator_exponents: dict[str, tuple[int, ...]] | None = None
 
         if not basis:
             raise PresentationError("basis must be nonempty")
@@ -194,8 +215,6 @@ class ManifoldRing:
                     f"product {a!r}*{b!r} (degree {target_degree}) targets {label!r} "
                     f"of degree {self.degree_of[label]}"
                 )
-            if label in cleaned:
-                raise PresentationError(f"duplicate target {label!r} in product {a!r}*{b!r}")
             cleaned[label] = value
         if cleaned and target_degree > self.top_dim:
             raise DegreeOverflowEntry(
@@ -274,9 +293,11 @@ class ManifoldRing:
         return GradedElement(self, {label: 1})
 
     def element(self, coeffs: Mapping[str, int]) -> "GradedElement":
-        for label in coeffs:
+        for label, coefficient in coeffs.items():
             if label not in self.degree_of:
                 raise PresentationError(f"unknown basis label {label!r}")
+            if not is_integer(coefficient):
+                raise PresentationError(f"coefficient of {label!r} must be an integer")
         return GradedElement(self, dict(coeffs))
 
     # -- presentation ------------------------------------------------------
@@ -518,10 +539,6 @@ class RingMap:
         return {"images": entries}
 
 
-def apply_map(m: RingMap, c: GradedElement) -> GradedElement:
-    return m(c)
-
-
 def identity_map(ring: ManifoldRing) -> RingMap:
     return RingMap(ring, ring, {l: ring.basis_element(l) for l in ring.labels}, verify=False)
 
@@ -691,19 +708,11 @@ def is_degreewise_injective(m: RingMap) -> bool:
 # -- presentation documents -------------------------------------------------
 
 
-def element_from_spec(ring: ManifoldRing, entries: list[Mapping]) -> GradedElement:
-    if not isinstance(entries, list):
-        raise PresentationError("element must be a list of label/coeff entries")
+def element_from_spec(ring: ManifoldRing, entries: list[dict]) -> GradedElement:
     coeffs: dict[str, int] = {}
     for entry in entries:
-        if not isinstance(entry, Mapping):
-            raise PresentationError("element entries must be label/coeff objects")
-        label = entry.get("label")
-        coefficient = entry.get("coeff")
-        if not isinstance(label, str) or label not in ring.degree_of:
-            raise PresentationError(f"unknown basis label {label!r} in element")
-        if not is_integer(coefficient):
-            raise PresentationError(f"coefficient of {label!r} must be an integer")
+        label = read_field(entry, "label", str, "one of the element entries")
+        coefficient = read_field(entry, "coeff", object, "one of the element entries")
         if label in coeffs:
             raise PresentationError(f"duplicate label {label!r} in element")
         coeffs[label] = coefficient
@@ -718,69 +727,48 @@ def element_to_spec(c: GradedElement) -> list[dict]:
     ]
 
 
-def make_ring(spec: Mapping) -> ManifoldRing:
-    """Build and validate a ring from its presentation document."""
-    if not isinstance(spec, Mapping):
-        raise PresentationError("ring presentation must be a JSON object")
-    for key in ("mode", "topDim", "basis", "fundamental"):
-        if key not in spec:
-            raise PresentationError(f"ring presentation is missing {key!r}")
-    for key in ("basis", "products"):
-        if not isinstance(spec.get(key, []), list):
-            raise PresentationError(f"ring presentation field {key!r} must be a list")
-    if not isinstance(spec.get("orientable", True), bool):
-        raise PresentationError("ring presentation field 'orientable' must be true or false")
-    basis = []
-    for entry in spec["basis"]:
-        if not isinstance(entry, Mapping) or "label" not in entry or "degree" not in entry:
-            raise PresentationError("basis entries must carry label and degree")
-        basis.append((entry["label"], entry["degree"]))
+def make_ring(spec: dict) -> ManifoldRing:
+    """Build and validate a ring from its presentation document.
+
+    Only the document's shape is read here; labels, degrees, coefficients,
+    the unit and the fundamental class are checked by ``ManifoldRing``.
+    """
+    name = "ring presentation"
+    mode = read_field(spec, "mode", object, name)
+    top_dim = read_field(spec, "topDim", object, name)
+    basis_entries = read_field(spec, "basis", list, name)
+    fundamental = read_field(spec, "fundamental", object, name)
+    product_entries = read_field(spec, "products", list, name, [])
+    orientable = read_field(spec, "orientable", bool, name, True)
+    basis = [
+        (read_field(e, "label", object, "basis entry"), read_field(e, "degree", object, "basis entry"))
+        for e in basis_entries
+    ]
     products: dict[tuple[str, str], dict[str, int]] = {}
-    for entry in spec.get("products", []):
-        if not isinstance(entry, Mapping) or "a" not in entry or "b" not in entry:
-            raise PresentationError("product entries must carry a, b and result")
-        for key in ("a", "b"):
-            if not isinstance(entry[key], str):
-                raise PresentationError(f"product entry field {key!r} must be a label string")
-        if not isinstance(entry.get("result", []), list):
-            raise PresentationError(f"product {entry['a']!r}*{entry['b']!r}: 'result' must be a list")
+    for entry in product_entries:
+        a = read_field(entry, "a", str, "product entry")
+        b = read_field(entry, "b", str, "product entry")
+        term_name = f"result entry of product {a!r}*{b!r}"
         result = {}
-        for term in entry.get("result", []):
-            if not isinstance(term, Mapping) or "label" not in term or "coeff" not in term:
-                raise PresentationError("product results must be label/coeff pairs")
-            if not isinstance(term["label"], str):
-                raise PresentationError(
-                    f"product {entry['a']!r}*{entry['b']!r}: result 'label' must be a string"
-                )
-            if term["label"] in result:
-                raise PresentationError(
-                    f"duplicate target {term['label']!r} in product {entry['a']!r}*{entry['b']!r}"
-                )
-            result[term["label"]] = term["coeff"]
-        key = (entry["a"], entry["b"])
-        if key in products or (key[1], key[0]) in products:
-            raise PresentationError(f"duplicate product entry for pair {key!r}")
-        products[key] = result
-    return ManifoldRing(
-        spec["mode"],
-        spec["topDim"],
-        basis,
-        products,
-        spec["fundamental"],
-        orientable=spec.get("orientable", True),
-    )
+        for term in read_field(entry, "result", list, "product entry", []):
+            label = read_field(term, "label", str, term_name)
+            coefficient = read_field(term, "coeff", object, term_name)
+            if label in result:
+                raise PresentationError(f"duplicate target {label!r} in product {a!r}*{b!r}")
+            result[label] = coefficient
+        if (a, b) in products or (b, a) in products:
+            raise PresentationError(f"duplicate product entry for pair {(a, b)!r}")
+        products[a, b] = result
+    return ManifoldRing(mode, top_dim, basis, products, fundamental, orientable=orientable)
 
 
-def map_from_spec(source: ManifoldRing, target: ManifoldRing, spec: Mapping) -> RingMap:
-    if not isinstance(spec, Mapping) or "images" not in spec:
-        raise PresentationError("map presentation must carry an images list")
+def map_from_spec(source: ManifoldRing, target: ManifoldRing, spec: dict) -> RingMap:
     images = {}
-    for entry in spec["images"]:
-        if not isinstance(entry, Mapping) or "from" not in entry or "to" not in entry:
-            raise PresentationError("map images must be from/to pairs")
-        if entry["from"] in images:
-            raise PresentationError(f"duplicate image for {entry['from']!r}")
-        images[entry["from"]] = element_from_spec(target, entry["to"])
+    for entry in read_field(spec, "images", list, "map presentation"):
+        label = read_field(entry, "from", str, "map image")
+        if label in images:
+            raise PresentationError(f"duplicate image for {label!r}")
+        images[label] = element_from_spec(target, read_field(entry, "to", list, "map image"))
     return RingMap(source, target, images)
 
 
@@ -835,7 +823,6 @@ def truncated_polynomial_ring(
     extend((), 0, 0)
     monomials.sort()
     basis = [(label_of(exps), degree) for degree, exps in monomials]
-    exponent_of = {label_of(exps): exps for _, exps in monomials}
 
     products: dict[tuple[str, str], dict[str, int]] = {}
     entries = [(label, degree, exps) for (degree, exps), (label, _) in zip(monomials, basis)]
@@ -848,9 +835,6 @@ def truncated_polynomial_ring(
             combined = tuple(x + y for x, y in zip(ea, eb))
             products[(la, lb)] = {label_of(combined): 1}
 
-    ring = ManifoldRing(
+    return ManifoldRing(
         mode, top_dim, basis, products, fundamental, orientable=orientable, verify=verify
     )
-    ring.generators = tuple(zip(names, degrees))
-    ring.generator_exponents = exponent_of
-    return ring

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from jetstrata import gring
+
+# Property tests draw the same examples on every run, so a failure
+# reproduces from its test name; examples are bounded by count, not time.
+settings.register_profile("jetstrata", derandomize=True, deadline=None)
+settings.load_profile("jetstrata")
 
 # H* of a closed 4-manifold with one degree-2 generator squaring to the
 # fundamental class; the workhorse small integer-mode ring.
@@ -40,12 +46,14 @@ def int_chain():
 
 def ring_map_from_generators(source, target, images_by_gen):
     """RingMap built from generator images of a truncated polynomial ring;
-    multiplicative by construction."""
+    multiplicative by construction.  A monomial label such as ``a^2*b``
+    gives the generators and exponents of its basis element."""
     images = {}
-    for label, exponents in source.generator_exponents.items():
+    for label in source.labels:
         element = target.unit()
-        for (name, _), e in zip(source.generators, exponents):
-            for _ in range(e):
-                element = element * images_by_gen[name]
+        if label != "1":
+            for factor in label.split("*"):
+                name, _, exponent = factor.partition("^")
+                element = element * images_by_gen[name] ** int(exponent or 1)
         images[label] = element
     return gring.RingMap(source, target, images)

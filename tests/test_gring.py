@@ -16,7 +16,6 @@ from jetstrata.gring import (
     PresentationError,
     RingMap,
     RingMismatch,
-    apply_map,
     identity_map,
     invert_total_class,
     is_degreewise_injective,
@@ -270,7 +269,7 @@ def test_pair_fundamental_examples(four_ring):
 def test_apply_map_identity(four_ring):
     ident = identity_map(four_ring)
     c = four_ring.element({"1": 2, "x": -1, "x2": 4})
-    assert apply_map(ident, c) == c
+    assert ident(c) == c
 
 
 def test_apply_map_multiplicative_on_random_pairs():
@@ -391,6 +390,14 @@ def test_map_spec_round_trip():
     again = gring.map_from_spec(a, b, spec)
     assert again.serialize() == spec
     assert again(a.basis_element("x")) == -1 * b.basis_element("x")
+
+
+def test_map_spec_rejects_a_non_string_source_label():
+    a = four_manifold_ring()
+    b = four_manifold_ring()
+    spec = {"images": [{"from": ["x"], "to": [{"label": "x", "coeff": 1}]}]}
+    with pytest.raises(PresentationError, match="'from'"):
+        gring.map_from_spec(a, b, spec)
 
 
 def test_truncated_polynomial_ring_shape():
