@@ -19,7 +19,7 @@ from .charclass import (
     w_table_polynomial,
     W_TABLE_DIMENSIONS,
 )
-from .gring import CoefficientMode, ConsistencyError, ModeMismatch
+from .gring import CoefficientMode, ConsistencyError, ModeMismatch, is_integer
 from .symbols import JetContext, is_finite_order
 
 ESTABLISHED = "Established"
@@ -50,7 +50,7 @@ class CriterionReport:
 
 def _k_at_least(k, bound: int) -> bool:
     if is_finite_order(k):
-        if not isinstance(k, int) or k < 1:
+        if not is_integer(k) or k < 1:
             raise BadInput(f"jet order must be a positive integer or inf, got {k!r}")
         return k >= bound
     return True
@@ -62,8 +62,10 @@ def _inclusion_lhs(n: int, p: int, i: int) -> int:
 
 def _check_core(n: int, p: int, i: int) -> None:
     for name, value in (("n", n), ("p", p), ("i", i)):
-        if not isinstance(value, int):
+        if not is_integer(value):
             raise BadInput(f"{name} must be an integer, got {value!r}")
+    if n < 1 or p < 1:
+        raise BadInput(f"dimensions must be positive, got n={n}, p={p}")
     if i < 1:
         raise BadInput(f"kernel rank must be positive, got i={i}")
     if p - n + i < 0:
@@ -84,7 +86,7 @@ def w_inclusion(n: int, p: int, i: int, ell: int, k) -> CriterionReport:
     For n = p the left side simplifies to i^2(i-1)/2.
     """
     _check_core(n, p, i)
-    if not isinstance(ell, int) or ell < 0:
+    if not is_integer(ell) or ell < 0:
         raise BadInput(f"codimension budget must be a nonnegative integer, got {ell!r}")
     lhs = _inclusion_lhs(n, p, i)
     if n == p and lhs != i * i * (i - 1) // 2:
@@ -115,7 +117,7 @@ def stabilized_w_inclusion(n: int, p: int, i: int, ell: int, k) -> CriterionRepo
     move with m.  Not established when no admissible shift works.
     """
     _check_core(n, p, i)
-    if not isinstance(ell, int) or ell < 0:
+    if not is_integer(ell) or ell < 0:
         raise BadInput(f"codimension budget must be a nonnegative integer, got {ell!r}")
     for m in range(0, max(n - i, -1) + 1):
         if not _core_is_admissible(n - m, p - m, i):

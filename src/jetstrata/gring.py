@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -114,6 +113,11 @@ class ManifoldRing:
     pairs of non-unit labels to {label: coefficient}; omitted products are
     zero.  ``fundamental`` must be a top-degree label (inferred when the top
     degree carries a single label).
+
+    Inside, a basis element is its position in ``basis``: structure constants,
+    element coefficients and map images are keyed by position.  Labels
+    (``labels``, ``degree_of``, ``position``, ``basis_by_degree``) are only
+    read and written at the edge: construction, documents and printing.
     """
 
     def __init__(
@@ -131,7 +135,9 @@ class ManifoldRing:
         if not is_integer(top_dim) or top_dim < 0:
             raise PresentationError(f"top dimension must be a nonnegative integer, got {top_dim!r}")
         self.top_dim = top_dim
-        self.orientable = bool(orientable)
+        if not isinstance(orientable, bool):
+            raise PresentationError(f"orientable must be true or false, got {orientable!r}")
+        self.orientable = orientable
 
         if not basis:
             raise PresentationError("basis must be nonempty")
@@ -158,16 +164,19 @@ class ManifoldRing:
         self.labels: tuple[str, ...] = tuple(labels)
         self.degree_of = degree_of
         self.position = {label: j for j, label in enumerate(labels)}
+        self.degrees: tuple[int, ...] = tuple(degree_of[label] for label in labels)
 
-        by_degree: dict[int, list[str]] = {}
-        for label in labels:
-            by_degree.setdefault(degree_of[label], []).append(label)
-        self.basis_by_degree = {d: tuple(ls) for d, ls in by_degree.items()}
+        by_degree: dict[int, list[int]] = {}
+        for p, degree in enumerate(self.degrees):
+            by_degree.setdefault(degree, []).append(p)
+        self.positions_by_degree = {d: tuple(ps) for d, ps in by_degree.items()}
+        self.basis_by_degree = {d: tuple(labels[p] for p in ps) for d, ps in self.positions_by_degree.items()}
 
         units = self.basis_by_degree.get(0, ())
         if len(units) != 1:
             raise BadUnit(f"degree-0 basis must be exactly the unit, got {list(units)}")
         self.unit_label = units[0]
+        self.unit_position = self.position[self.unit_label]
 
         if fundamental is None:
             top_labels = self.basis_by_degree.get(top_dim, ())
@@ -181,8 +190,10 @@ class ManifoldRing:
                 f"fundamental label {fundamental!r} is not a degree-{top_dim} basis element"
             )
         self.fundamental_label = fundamental
+        self.fundamental_position = self.position[fundamental]
 
-        self._table: dict[tuple[str, str], tuple[tuple[str, int], ...]] = {}
+        # Nonzero non-unit products: (i, j), i <= j -> ((position, coeff), ...).
+        self._table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         for (a, b), result in (products or {}).items():
             self._install_product(a, b, result)
 
@@ -197,62 +208,59 @@ class ManifoldRing:
         return coefficient
 
     def _install_product(self, a: str, b: str, result: Mapping[str, int]) -> None:
+        position, degrees = self.position, self.degrees
         for label in (a, b):
-            if label not in self.degree_of:
+            if label not in position:
                 raise PresentationError(f"product entry names unknown label {label!r}")
-        target_degree = self.degree_of[a] + self.degree_of[b]
-        cleaned: dict[str, int] = {}
+        i, j = position[a], position[b]
+        target_degree = degrees[i] + degrees[j]
+        cleaned: dict[int, int] = {}
         for label, coefficient in result.items():
-            if label not in self.degree_of:
+            t = position.get(label)
+            if t is None:
                 raise PresentationError(f"product {a!r}*{b!r} targets unknown label {label!r}")
             if not is_integer(coefficient):
                 raise PresentationError(f"coefficient of {label!r} in {a!r}*{b!r} must be an integer")
             value = self._normal(coefficient)
             if value == 0:
                 continue
-            if self.degree_of[label] != target_degree:
+            if degrees[t] != target_degree:
                 raise PresentationError(
                     f"product {a!r}*{b!r} (degree {target_degree}) targets {label!r} "
-                    f"of degree {self.degree_of[label]}"
+                    f"of degree {degrees[t]}"
                 )
-            cleaned[label] = value
+            cleaned[t] = value
         if cleaned and target_degree > self.top_dim:
             raise DegreeOverflowEntry(
                 f"product {a!r}*{b!r} targets degree {target_degree} above top dimension {self.top_dim}"
             )
-        if self.unit_label in (a, b):
-            other = b if a == self.unit_label else a
+        if self.unit_position in (i, j):
+            other = j if i == self.unit_position else i
             if cleaned != {other: 1}:
                 raise BadUnit(f"product with the unit must reproduce the other factor: {a!r}*{b!r}")
             return  # implied, not stored
-        key = (a, b) if self.position[a] <= self.position[b] else (b, a)
-        packed = tuple(sorted(cleaned.items(), key=lambda kv: self.position[kv[0]]))
+        key = (i, j) if i <= j else (j, i)
+        packed = tuple(sorted(cleaned.items()))
         if key in self._table and self._table[key] != packed:
-            raise PresentationError(f"conflicting product entries for pair {key!r}")
+            pair = (self.labels[key[0]], self.labels[key[1]])
+            raise PresentationError(f"conflicting product entries for pair {pair!r}")
         if packed:
             self._table[key] = packed
 
-    def basis_product(self, a: str, b: str) -> tuple[tuple[str, int], ...]:
-        """Structure constants of a basis pair as ((label, coefficient), ...)."""
-        if a == self.unit_label:
-            return ((b, 1),)
-        if b == self.unit_label:
-            return ((a, 1),)
-        key = (a, b) if self.position[a] <= self.position[b] else (b, a)
-        return self._table.get(key, ())
+    def basis_product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
+        """Structure constants of the basis pair at positions ``i`` and ``j``
+        as ((position, coefficient), ...), by position."""
+        if i == self.unit_position:
+            return ((j, 1),)
+        if j == self.unit_position:
+            return ((i, 1),)
+        return self._table.get((i, j) if i <= j else (j, i), ())
 
-    def _mul_terms(self, terms: Iterable[tuple[str, int]], factor: str) -> dict[str, int]:
-        acc: dict[str, int] = {}
-        for label, coefficient in terms:
-            for target, c in self.basis_product(label, factor):
-                acc[target] = acc.get(target, 0) + coefficient * c
-        return {k: v for k, v in ((k, self._normal(v)) for k, v in acc.items()) if v}
-
-    def _bounded_triples(self) -> Iterator[tuple[str, str, str]]:
-        """Non-unit triples x <= y <= z (by position) whose degrees sum to at
-        most top_dim, in the order of ``combinations_with_replacement``."""
-        nonunit = [l for l in self.labels if l != self.unit_label]
-        degrees = [self.degree_of[l] for l in nonunit]
+    def _bounded_triples(self) -> Iterator[tuple[int, int, int]]:
+        """Non-unit position triples x <= y <= z whose degrees sum to at most
+        top_dim, in the order of ``combinations_with_replacement``."""
+        nonunit = [p for p in range(len(self.labels)) if p != self.unit_position]
+        degrees = [self.degrees[p] for p in nonunit]
         positions = list(range(len(nonunit)))
         # within[b]: the positions of degree at most bounds[b], ascending;
         # degree 0 holds only the unit, so within[0] is empty.
@@ -272,11 +280,29 @@ class ManifoldRing:
     def _verify_associativity(self) -> None:
         # Triples with total degree above top_dim associate trivially (both
         # sides truncate), so only bounded-degree triples are enumerated.
+        # Each side is compared as a normalized term tuple, by position.
+        rows: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in self.labels]
+        for (i, j), packed in self._table.items():
+            rows[i][j] = rows[j][i] = packed
+        normal = self._normal
+
+        def times(terms: tuple[tuple[int, int], ...], z: int) -> tuple[tuple[int, int], ...]:
+            if not terms:
+                return ()
+            if len(terms) == 1:
+                t, c = terms[0]
+                row = rows[t].get(z, ())
+                return row if c == 1 else tuple([(u, c * d) for u, d in row])
+            acc: dict[int, int] = {}
+            for t, c in terms:
+                for u, d in rows[t].get(z, ()):
+                    acc[u] = acc.get(u, 0) + c * d
+            return tuple(sorted((u, v) for u, v in ((u, normal(v)) for u, v in acc.items()) if v))
+
         for x, y, z in self._bounded_triples():
-            xy_z = self._mul_terms(self.basis_product(x, y), z)
-            xz_y = self._mul_terms(self.basis_product(x, z), y)
-            yz_x = self._mul_terms(self.basis_product(y, z), x)
-            if not (xy_z == xz_y == yz_x):
+            row = rows[x]
+            if not (times(row.get(y, ()), z) == times(row.get(z, ()), y) == times(rows[y].get(z, ()), x)):
+                x, y, z = (self.labels[p] for p in (x, y, z))
                 raise NonAssociative(f"products of {x!r}, {y!r}, {z!r} do not associate")
 
     # -- elements ----------------------------------------------------------
@@ -285,39 +311,39 @@ class ManifoldRing:
         return GradedElement(self, {})
 
     def unit(self) -> "GradedElement":
-        return GradedElement(self, {self.unit_label: 1})
+        return GradedElement(self, {self.unit_position: 1})
 
     def basis_element(self, label: str) -> "GradedElement":
-        if label not in self.degree_of:
-            raise PresentationError(f"unknown basis label {label!r}")
-        return GradedElement(self, {label: 1})
+        return self.element({label: 1})
 
     def element(self, coeffs: Mapping[str, int]) -> "GradedElement":
+        """The element with the given coefficient per basis label."""
+        by_position = {}
         for label, coefficient in coeffs.items():
-            if label not in self.degree_of:
+            if label not in self.position:
                 raise PresentationError(f"unknown basis label {label!r}")
             if not is_integer(coefficient):
                 raise PresentationError(f"coefficient of {label!r} must be an integer")
-        return GradedElement(self, dict(coeffs))
+            by_position[self.position[label]] = coefficient
+        return GradedElement(self, by_position)
 
     # -- presentation ------------------------------------------------------
 
-    def _product_entries(self) -> Iterator[tuple[str, str, tuple[tuple[str, int], ...]]]:
-        """Nonzero non-unit products (a, b, packed), a not after b, in position order."""
-        pos = self.position
-        for (a, b), packed in sorted(self._table.items(), key=lambda kv: [pos[l] for l in kv[0]]):
-            yield a, b, packed
+    def _product_entries(self) -> Iterable[tuple[tuple[int, int], tuple[tuple[int, int], ...]]]:
+        """Nonzero non-unit products ((i, j), packed), i <= j, in position order."""
+        return sorted(self._table.items())
 
     def serialize(self) -> dict:
         """Canonical presentation document; ``make_ring`` inverts this."""
+        labels = self.labels
         products = [
-            {"a": a, "b": b, "result": [{"label": l, "coeff": c} for l, c in packed]}
-            for a, b, packed in self._product_entries()
+            {"a": labels[i], "b": labels[j], "result": [{"label": labels[t], "coeff": c} for t, c in packed]}
+            for (i, j), packed in self._product_entries()
         ]
         return {
             "mode": self.mode.value,
             "topDim": self.top_dim,
-            "basis": [{"label": l, "degree": self.degree_of[l]} for l in self.labels],
+            "basis": [{"label": l, "degree": d} for l, d in zip(labels, self.degrees)],
             "products": products,
             "fundamental": self.fundamental_label,
             "orientable": self.orientable,
@@ -331,16 +357,16 @@ class ManifoldRing:
 
 
 class GradedElement:
-    """Exact finite sum of basis labels of one ManifoldRing."""
+    """Exact finite sum of basis elements of one ManifoldRing, keyed by position."""
 
     __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: ManifoldRing, coeffs: Mapping[str, int]):
+    def __init__(self, ring: ManifoldRing, coeffs: Mapping[int, int]):
         normalized = {}
-        for label, coefficient in coeffs.items():
+        for p, coefficient in coeffs.items():
             value = ring._normal(coefficient)
             if value:
-                normalized[label] = value
+                normalized[p] = value
         self.ring = ring
         self.coeffs = normalized
 
@@ -364,12 +390,12 @@ class GradedElement:
             return NotImplemented
         self._require_same_ring(other)
         acc = dict(self.coeffs)
-        for label, coefficient in other.coeffs.items():
-            acc[label] = acc.get(label, 0) + coefficient
+        for p, coefficient in other.coeffs.items():
+            acc[p] = acc.get(p, 0) + coefficient
         return GradedElement(self.ring, acc)
 
     def __neg__(self) -> "GradedElement":
-        return GradedElement(self.ring, {l: -c for l, c in self.coeffs.items()})
+        return GradedElement(self.ring, {p: -c for p, c in self.coeffs.items()})
 
     def __sub__(self, other: "GradedElement") -> "GradedElement":
         if not isinstance(other, GradedElement):
@@ -378,17 +404,17 @@ class GradedElement:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return GradedElement(self.ring, {l: c * other for l, c in self.coeffs.items()})
+            return GradedElement(self.ring, {p: c * other for p, c in self.coeffs.items()})
         if not isinstance(other, GradedElement):
             return NotImplemented
         self._require_same_ring(other)
-        ring = self.ring
-        acc: dict[str, int] = {}
-        for la, ca in self.coeffs.items():
-            for lb, cb in other.coeffs.items():
-                for target, c in ring.basis_product(la, lb):
-                    acc[target] = acc.get(target, 0) + ca * cb * c
-        return GradedElement(ring, acc)
+        product = self.ring.basis_product
+        acc: dict[int, int] = {}
+        for i, ca in self.coeffs.items():
+            for j, cb in other.coeffs.items():
+                for t, c in product(i, j):
+                    acc[t] = acc.get(t, 0) + ca * cb * c
+        return GradedElement(self.ring, acc)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -404,40 +430,35 @@ class GradedElement:
         return out
 
     def component(self, degree: int) -> "GradedElement":
-        deg = self.ring.degree_of
-        return GradedElement(
-            self.ring, {l: c for l, c in self.coeffs.items() if deg[l] == degree}
-        )
+        deg = self.ring.degrees
+        return GradedElement(self.ring, {p: c for p, c in self.coeffs.items() if deg[p] == degree})
 
     def truncated(self, degree: int) -> "GradedElement":
         """Sum of the components of degree at most ``degree``."""
-        deg = self.ring.degree_of
-        return GradedElement(
-            self.ring, {l: c for l, c in self.coeffs.items() if deg[l] <= degree}
-        )
+        deg = self.ring.degrees
+        return GradedElement(self.ring, {p: c for p, c in self.coeffs.items() if deg[p] <= degree})
 
     def support_degrees(self) -> tuple[int, ...]:
-        deg = self.ring.degree_of
-        return tuple(sorted({deg[l] for l in self.coeffs}))
+        deg = self.ring.degrees
+        return tuple(sorted({deg[p] for p in self.coeffs}))
 
     def is_homogeneous(self, degree: int) -> bool:
         """True when every nonzero term sits in ``degree`` (zero qualifies)."""
-        deg = self.ring.degree_of
-        return all(deg[l] == degree for l in self.coeffs)
+        deg = self.ring.degrees
+        return all(deg[p] == degree for p in self.coeffs)
 
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
-        pos = self.ring.position
-        parts = []
-        for label, coefficient in sorted(self.coeffs.items(), key=lambda kv: pos[kv[0]]):
-            parts.append(label if coefficient == 1 else f"{coefficient}*{label}")
-        return " + ".join(parts)
+        labels = self.ring.labels
+        return " + ".join(
+            labels[p] if c == 1 else f"{c}*{labels[p]}" for p, c in sorted(self.coeffs.items())
+        )
 
 
 def pair_fundamental(c: GradedElement) -> int:
-    """Coefficient of the fundamental label in the top-degree component."""
-    return c.coeffs.get(c.ring.fundamental_label, 0)
+    """Coefficient of the fundamental class in the top-degree component."""
+    return c.coeffs.get(c.ring.fundamental_position, 0)
 
 
 def invert_total_class(c: GradedElement, through: int | None = None) -> GradedElement:
@@ -458,7 +479,7 @@ def invert_total_class(c: GradedElement, through: int | None = None) -> GradedEl
     parts: dict[int, GradedElement] = {0: ring.unit()}
     c_parts = {d: c.component(d) for d in c.support_degrees() if 0 < d <= bound}
     inverse = ring.unit()
-    for d in sorted(d for d in ring.basis_by_degree if 0 < d <= bound):
+    for d in sorted(d for d in ring.positions_by_degree if 0 < d <= bound):
         acc = ring.zero()
         for e, ce in c_parts.items():
             if parts.get(d - e):
@@ -473,7 +494,7 @@ class RingMap:
 
     ``images`` assigns every source basis label a target element; the unit
     image may be omitted.  Multiplicativity is verified on all basis pairs at
-    construction.
+    construction.  The map keeps the images by source position.
     """
 
     def __init__(
@@ -500,43 +521,45 @@ class RingMap:
                 raise PresentationError(f"image of {label!r} does not preserve degree")
         if table[source.unit_label] != target.unit():
             raise BadUnit("map must send the unit to the unit")
-        self.images = table
+        self.images: tuple[GradedElement, ...] = tuple(table[label] for label in source.labels)
         if verify:
             self._verify_multiplicative()
 
+    def _image(self, terms: Iterable[tuple[int, int]]) -> dict[int, int]:
+        """Unnormalized target coefficients of the source (position, coefficient) terms."""
+        acc: dict[int, int] = {}
+        for p, c in terms:
+            for u, d in self.images[p].coeffs.items():
+                acc[u] = acc.get(u, 0) + c * d
+        return acc
+
     def _verify_multiplicative(self) -> None:
-        nonunit = [l for l in self.source.labels if l != self.source.unit_label]
+        # f(ab) - f(a)f(b) accumulated in one dict, which must normalize to 0.
+        source, images = self.source, self.images
+        product, normal = self.target.basis_product, self.target._normal
+        nonunit = [p for p in range(len(source.labels)) if p != source.unit_position]
         for a, b in itertools.combinations_with_replacement(nonunit, 2):
-            lhs = self.images[a] * self.images[b]
-            rhs = self.target.zero()
-            for label, coefficient in self.source.basis_product(a, b):
-                rhs = rhs + self.images[label] * coefficient
-            if lhs != rhs:
+            acc = self._image(source.basis_product(a, b))
+            for i, ca in images[a].coeffs.items():
+                for j, cb in images[b].coeffs.items():
+                    for t, c in product(i, j):
+                        acc[t] = acc.get(t, 0) - ca * cb * c
+            if any(normal(v) for v in acc.values()):
+                a, b = source.labels[a], source.labels[b]
                 raise PresentationError(f"map is not multiplicative on pair ({a!r}, {b!r})")
 
     def __call__(self, c: GradedElement) -> GradedElement:
         if c.ring is not self.source:
             raise RingMismatch("element does not belong to the map's source ring")
-        out = self.target.zero()
-        for label, coefficient in c.coeffs.items():
-            out = out + self.images[label] * coefficient
-        return out
+        return GradedElement(self.target, self._image(c.coeffs.items()))
 
     def serialize(self) -> dict:
-        entries = []
-        for label in self.source.labels:
-            image = self.images[label]
-            pos = self.target.position
-            entries.append(
-                {
-                    "from": label,
-                    "to": [
-                        {"label": l, "coeff": c}
-                        for l, c in sorted(image.coeffs.items(), key=lambda kv: pos[kv[0]])
-                    ],
-                }
-            )
-        return {"images": entries}
+        return {
+            "images": [
+                {"from": label, "to": element_to_spec(image)}
+                for label, image in zip(self.source.labels, self.images)
+            ]
+        }
 
 
 def identity_map(ring: ManifoldRing) -> RingMap:
@@ -546,7 +569,7 @@ def identity_map(ring: ManifoldRing) -> RingMap:
 def compose(outer: RingMap, inner: RingMap) -> RingMap:
     if inner.target is not outer.source:
         raise RingMismatch("maps do not compose: inner target differs from outer source")
-    images = {l: outer(inner.images[l]) for l in inner.source.labels}
+    images = {l: outer(image) for l, image in zip(inner.source.labels, inner.images)}
     return RingMap(inner.source, outer.target, images, verify=False)
 
 
@@ -557,24 +580,26 @@ class TensorRing(ManifoldRing):
     """H*(A) ⊗ H*(B), the Künneth ring of a product A × B (torsion-free or
     mod-2 coefficients, where the graded sign is 1).
 
-    ``pairs`` lists the factor labels (a, b) in basis order; the basis label
-    of a pair is ``a⊗b`` and its degree the sum of the factor degrees.  The
-    attributes ``pairs`` and ``label_of`` map labels to pairs and back.
+    ``pairs`` lists the factor positions (a, b) in basis order; the basis
+    label of a pair is ``a⊗b`` of the factor labels and its degree the sum of
+    the factor degrees.  ``factor_positions`` maps a position to its pair.
     Products are computed factor by factor, (a1⊗b1)(a2⊗b2) = (a1a2)⊗(b1b2),
     so no product table is stored.
     """
 
-    def __init__(self, left: ManifoldRing, right: ManifoldRing, pairs: Sequence[tuple[str, str]]):
+    def __init__(self, left: ManifoldRing, right: ManifoldRing, pairs: Sequence[tuple[int, int]]):
         self.left = left
         self.right = right
-        labels = [f"{a}{TENSOR_SEPARATOR}{b}" for a, b in pairs]
-        self.pairs: dict[str, tuple[str, str]] = dict(zip(labels, pairs))
-        self.label_of: dict[tuple[str, str], str] = dict(zip(pairs, labels))
+        self.factor_positions: tuple[tuple[int, int], ...] = tuple(pairs)
+        self._position_of = [[None] * len(right.labels) for _ in left.labels]  # [a][b] -> position
+        for p, (a, b) in enumerate(pairs):
+            self._position_of[a][b] = p
+        labels = [f"{left.labels[a]}{TENSOR_SEPARATOR}{right.labels[b]}" for a, b in pairs]
         super().__init__(
             left.mode,
             left.top_dim + right.top_dim,
-            [(l, left.degree_of[a] + right.degree_of[b]) for l, (a, b) in zip(labels, pairs)],
-            fundamental=self.label_of[left.fundamental_label, right.fundamental_label],
+            [(l, left.degrees[a] + right.degrees[b]) for l, (a, b) in zip(labels, pairs)],
+            fundamental=labels[self._position_of[left.fundamental_position][right.fundamental_position]],
             orientable=left.orientable and right.orientable,
         )
 
@@ -582,26 +607,26 @@ class TensorRing(ManifoldRing):
         """Nothing to enumerate: each factor was checked when it was built,
         and a tensor product of associative rings is associative."""
 
-    def basis_product(self, a: str, b: str) -> tuple[tuple[str, int], ...]:
-        a1, b1 = self.pairs[a]
-        a2, b2 = self.pairs[b]
+    def basis_product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
+        a1, b1 = self.factor_positions[i]
+        a2, b2 = self.factor_positions[j]
         left = self.left.basis_product(a1, a2)
         if not left:
             return ()
         right = self.right.basis_product(b1, b2)
-        label = self.label_of
+        index = self._position_of
         # Both factors list their terms by position, one degree each, so the
         # tensor terms come out by position too.
-        return tuple([(label[ra, rb], ca * cb) for ra, ca in left for rb, cb in right])
+        return tuple([(index[ra][rb], ca * cb) for ra, ca in left for rb, cb in right])
 
-    def _product_entries(self) -> Iterator[tuple[str, str, tuple[tuple[str, int], ...]]]:
-        labels, deg, top = self.labels, self.degree_of, self.top_dim
+    def _product_entries(self) -> Iterator[tuple[tuple[int, int], tuple[tuple[int, int], ...]]]:
+        degrees, top = self.degrees, self.top_dim
         # The basis is listed by degree with the unit first, so a row ends at
-        # the first label whose product with ``a`` passes the top dimension.
-        for i, a in enumerate(labels[1:], 1):
-            for b in itertools.takewhile(lambda b: deg[a] + deg[b] <= top, labels[i:]):
-                if packed := self.basis_product(a, b):
-                    yield a, b, packed
+        # the first position whose product with ``i`` passes the top dimension.
+        for i in range(1, len(degrees)):
+            for j in itertools.takewhile(lambda j: degrees[i] + degrees[j] <= top, range(i, len(degrees))):
+                if packed := self.basis_product(i, j):
+                    yield (i, j), packed
 
 
 def kunneth_product(left: ManifoldRing, right: ManifoldRing) -> tuple[TensorRing, RingMap, RingMap]:
@@ -614,16 +639,16 @@ def kunneth_product(left: ManifoldRing, right: ManifoldRing) -> tuple[TensorRing
     """
     if left.mode is not right.mode:
         raise ModeMismatch("tensor factors must share a coefficient mode")
-    by_left, by_right = left.basis_by_degree, right.basis_by_degree
+    by_left, by_right = left.positions_by_degree, right.positions_by_degree
     bidegrees = sorted(itertools.product(by_left, by_right), key=lambda d: (d[0] + d[1], d[0]))
     pairs = [p for da, db in bidegrees for p in itertools.product(by_left[da], by_right[db])]
     ring = TensorRing(left, right, pairs)
-    label = ring.label_of
+    index, left_unit, right_unit = ring._position_of, left.unit_position, right.unit_position
     inject_left = RingMap(
-        left, ring, {l: ring.basis_element(label[l, right.unit_label]) for l in left.labels}
+        left, ring, {l: GradedElement(ring, {index[a][right_unit]: 1}) for a, l in enumerate(left.labels)}
     )
     inject_right = RingMap(
-        right, ring, {l: ring.basis_element(label[left.unit_label, l]) for l in right.labels}
+        right, ring, {l: GradedElement(ring, {index[left_unit][b]: 1}) for b, l in enumerate(right.labels)}
     )
     return ring, inject_left, inject_right
 
@@ -636,73 +661,46 @@ def tensor_component(
     if not isinstance(ring, TensorRing):
         raise PresentationError("element does not belong to a tensor ring")
     picked = {}
-    for label, coefficient in c.coeffs.items():
-        a, b = ring.pairs[label]
-        if ring.left.degree_of[a] == left_degree and ring.right.degree_of[b] == right_degree:
-            picked[label] = coefficient
+    for p, coefficient in c.coeffs.items():
+        a, b = ring.factor_positions[p]
+        if ring.left.degrees[a] == left_degree and ring.right.degrees[b] == right_degree:
+            picked[p] = coefficient
     return GradedElement(ring, picked)
 
 
-def _rank_rational(rows: list[list[int]]) -> int:
-    matrix = [[Fraction(v) for v in row] for row in rows]
+def _rank(rows: list[list[int]], mod2: bool) -> int:
+    """Exact rank over GF(2) when ``mod2``, else over the rationals.
+
+    Fraction-free elimination: a row below the pivot row becomes
+    pivot * row - entry * pivot_row, which keeps the rank since the pivot is
+    nonzero; mod 2 every entry is reduced, so the pivot is 1.
+    """
+    matrix = [[v % 2 for v in row] if mod2 else list(row) for row in rows]
     rank = 0
-    cols = len(matrix[0]) if matrix else 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(matrix)):
-            if matrix[r][col]:
-                pivot = r
-                break
+    for col in range(len(matrix[0]) if matrix else 0):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
         if pivot is None:
             continue
         matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        inv = matrix[rank][col]
+        top = matrix[rank]
         for r in range(rank + 1, len(matrix)):
-            if matrix[r][col]:
-                factor = matrix[r][col] / inv
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
-        rank += 1
-    return rank
-
-
-def _rank_mod2(rows: list[list[int]]) -> int:
-    vecs = []
-    for row in rows:
-        bits = 0
-        for j, v in enumerate(row):
-            if v % 2:
-                bits |= 1 << j
-        vecs.append(bits)
-    rank = 0
-    for j in range(max((len(r) for r in rows), default=0)):
-        bit = 1 << j
-        pivot = None
-        for r in range(rank, len(vecs)):
-            if vecs[r] & bit:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        vecs[rank], vecs[pivot] = vecs[pivot], vecs[rank]
-        for r in range(len(vecs)):
-            if r != rank and vecs[r] & bit:
-                vecs[r] ^= vecs[rank]
+            if entry := matrix[r][col]:
+                row = [top[col] * a - entry * b for a, b in zip(matrix[r], top)]
+                matrix[r] = [v % 2 for v in row] if mod2 else row
         rank += 1
     return rank
 
 
 def is_degreewise_injective(m: RingMap) -> bool:
     """Exact rank check: the map restricted to each degree has full rank."""
-    rank = _rank_mod2 if m.source.mode is CoefficientMode.MOD2 else _rank_rational
-    for degree, labels in m.source.basis_by_degree.items():
-        targets = m.target.basis_by_degree.get(degree, ())
-        rows = []
-        for label in labels:
-            image = m.images[label].coeffs
-            rows.append([image.get(t, 0) for t in targets])
-        if rank(rows) < len(labels):
+    mod2 = m.source.mode is CoefficientMode.MOD2
+    for degree, positions in m.source.positions_by_degree.items():
+        targets = m.target.positions_by_degree.get(degree, ())
+        rows = [[m.images[p].coeffs.get(t, 0) for t in targets] for p in positions]
+        if _rank(rows, mod2) < len(positions):
             return False
     return True
+
 
 
 # -- presentation documents -------------------------------------------------
@@ -720,11 +718,8 @@ def element_from_spec(ring: ManifoldRing, entries: list[dict]) -> GradedElement:
 
 
 def element_to_spec(c: GradedElement) -> list[dict]:
-    pos = c.ring.position
-    return [
-        {"label": l, "coeff": v}
-        for l, v in sorted(c.coeffs.items(), key=lambda kv: pos[kv[0]])
-    ]
+    labels = c.ring.labels
+    return [{"label": labels[p], "coeff": v} for p, v in sorted(c.coeffs.items())]
 
 
 def make_ring(spec: dict) -> ManifoldRing:
@@ -793,7 +788,7 @@ def truncated_polynomial_ring(
             raise PresentationError(f"bad generator name {name!r}")
         if name in names:
             raise PresentationError(f"duplicate generator name {name!r}")
-        if not isinstance(degree, int) or degree < 1:
+        if not is_integer(degree) or degree < 1:
             raise PresentationError(f"generator degree must be a positive integer, got {degree!r}")
         names.append(name)
         degrees.append(degree)

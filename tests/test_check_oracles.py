@@ -1,0 +1,299 @@
+"""The ring checks against string-keyed brute-force references.
+
+``ManifoldRing`` checks associativity and ``RingMap`` checks
+multiplicativity on basis positions.  The references below do the same on
+label-keyed dicts built straight from the presentation, walking every
+bounded-degree triple and every basis pair in label order, and report the
+first failure.  The inputs are truncated polynomial rings written in a
+random unitriangular basis within each degree, so products and images have
+several terms with coefficients other than ±1; in integer mode every
+non-unit product may also be scaled by 2 or 3, which keeps it associative
+and gives single-term products with such coefficients.  One product entry or
+one map image is then perturbed, and the ring or map must be rejected exactly when
+the reference finds a failure, at the same first triple or pair.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jetstrata.gring import ManifoldRing, NonAssociative, PresentationError, RingMap
+
+# Generators and top dimension per coefficient mode; each has a degree that
+# carries several monomials, so the basis change mixes labels.
+SHAPES = {
+    "mod2": ([1, 2, 2], 5),
+    "integer_mod_torsion": ([2, 2, 4], 8),
+}
+
+
+def _normal(mode):
+    return (lambda c: c % 2) if mode == "mod2" else (lambda c: c)
+
+
+def _clean(terms, normal):
+    return {label: normal(c) for label, c in terms.items() if normal(c)}
+
+
+# -- presentations ------------------------------------------------------------
+
+
+class Twisted:
+    """The truncated polynomial ring on ``SHAPES[mode]`` with basis
+    e_k = m_k + sum_{j<k} twist[k][j] m_j, m_k the k-th monomial and j over
+    the earlier monomials of the same degree, and the product of two non-unit
+    elements multiplied by ``scale``."""
+
+    def __init__(self, mode, twist_entries, scale=1):
+        degrees, top = SHAPES[mode]
+        self.mode, self.top, self.scale = mode, top, scale
+        self.normal = _normal(mode)
+        boxes = [range(top // d + 1) for d in degrees]
+
+        def weight(e):
+            return sum(x * d for x, d in zip(e, degrees))
+
+        self.monomials = sorted(
+            (e for e in itertools.product(*boxes) if weight(e) <= top), key=lambda e: (weight(e), e)
+        )
+        self.degree = [weight(e) for e in self.monomials]
+        self.index = {e: k for k, e in enumerate(self.monomials)}
+        self.labels = [f"e{k}" for k in range(len(self.monomials))]
+        entries = iter(twist_entries)
+        # twist[k]: {j: coefficient of m_j in e_k} over earlier j of e_k's degree.
+        self.twist = [
+            {j: next(entries) for j in range(k) if self.degree[j] == self.degree[k]}
+            for k in range(len(self.monomials))
+        ]
+
+    @staticmethod
+    def twist_size(mode):
+        return sum(len(t) for t in Twisted(mode, itertools.repeat(0)).twist)
+
+    def monomial_coords(self, k):
+        """e_k in monomial coordinates."""
+        return {k: 1, **self.twist[k]}
+
+    def from_monomials(self, coords):
+        """Monomial coordinates -> {label: coefficient} in the e basis:
+        back substitution within each degree, last monomial first."""
+        w = {}
+        for j in reversed(range(len(self.monomials))):
+            value = coords.get(j, 0) - sum(
+                w.get(k, 0) * t[j] for k, t in enumerate(self.twist) if j in t
+            )
+            if self.normal(value):
+                w[j] = self.normal(value)
+        return {self.labels[j]: c for j, c in w.items()}
+
+    def monomial_product(self, x, y):
+        """Product of two non-unit monomial-coordinate vectors, truncated above top."""
+        out = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                e = tuple(p + q for p, q in zip(self.monomials[i], self.monomials[j]))
+                if e in self.index:
+                    out[self.index[e]] = out.get(self.index[e], 0) + self.scale * a * b
+        return out
+
+    def basis(self):
+        return list(zip(self.labels, self.degree))
+
+    def products(self):
+        """Every non-unit pair of degree sum at most top, by label."""
+        out = {}
+        for a, b in itertools.combinations_with_replacement(range(1, len(self.labels)), 2):
+            if self.degree[a] + self.degree[b] <= self.top:
+                coords = self.monomial_product(self.monomial_coords(a), self.monomial_coords(b))
+                out[self.labels[a], self.labels[b]] = self.from_monomials(coords)
+        return out
+
+    def fundamental(self):
+        return self.labels[-1]
+
+    def ring(self, products):
+        return ManifoldRing(self.mode, self.top, self.basis(), products, self.fundamental())
+
+
+# -- references ----------------------------------------------------------------
+
+
+def _label_product(mode, basis, products):
+    """Basis product on labels from a presentation, as a function."""
+    unit = next(label for label, degree in basis if degree == 0)
+    normal = _normal(mode)
+    table = {}
+    for (a, b), result in products.items():
+        table[a, b] = table[b, a] = _clean(result, normal)
+
+    def product(a, b):
+        if a == unit:
+            return {b: 1}
+        if b == unit:
+            return {a: 1}
+        return table.get((a, b), {})
+
+    return unit, product
+
+
+def _times(x, y, product, normal):
+    acc = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            for t, c in product(a, b).items():
+                acc[t] = acc.get(t, 0) + ca * cb * c
+    return _clean(acc, normal)
+
+
+def first_nonassociative_triple(mode, top, basis, products):
+    """First bounded-degree triple x <= y <= z (label order) on which
+    (xy)z, (xz)y and (yz)x differ, or None."""
+    degree = dict(basis)
+    unit, product = _label_product(mode, basis, products)
+    normal = _normal(mode)
+    nonunit = [label for label, _ in basis if label != unit]
+    for x, y, z in itertools.combinations_with_replacement(nonunit, 3):
+        if degree[x] + degree[y] + degree[z] > top:
+            continue
+        sides = [_times(product(p, q), {r: 1}, product, normal) for p, q, r in ((x, y, z), (x, z, y), (y, z, x))]
+        if not sides[0] == sides[1] == sides[2]:
+            return x, y, z
+    return None
+
+
+def first_nonmultiplicative_pair(mode, source, target, images):
+    """First source pair a <= b (label order) with f(a)f(b) != f(ab), or None.
+    ``source`` and ``target`` are (basis, products); ``images`` maps every
+    non-unit source label to a {label: coefficient} dict."""
+    normal = _normal(mode)
+    source_unit, source_product = _label_product(mode, *source)
+    _, target_product = _label_product(mode, *target)
+    nonunit = [label for label, _ in source[0] if label != source_unit]
+    for a, b in itertools.combinations_with_replacement(nonunit, 2):
+        lhs = _times(images[a], images[b], target_product, normal)
+        rhs = {}
+        for t, c in source_product(a, b).items():
+            for u, d in images[t].items():
+                rhs[u] = rhs.get(u, 0) + c * d
+        if lhs != _clean(rhs, normal):
+            return a, b
+    return None
+
+
+# -- strategies ---------------------------------------------------------------
+
+
+def _scale(draw, mode):
+    return 1 if mode == "mod2" else draw(st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def twisted_rings(draw, mode, scale):
+    size = Twisted.twist_size(mode)
+    return Twisted(mode, draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)), scale)
+
+
+def _delta(draw, mode):
+    return 1 if mode == "mod2" else draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+
+
+@st.composite
+def perturbed_rings(draw, mode):
+    """A twisted ring presentation with one product coefficient changed in
+    three draws out of four."""
+    twisted = draw(twisted_rings(mode, _scale(draw, mode)))
+    products = twisted.products()
+    if not draw(st.integers(0, 3)):
+        return twisted, products
+    pair = draw(st.sampled_from(sorted(products)))
+    a, b = (int(label[1:]) for label in pair)
+    targets = [k for k, d in enumerate(twisted.degree) if d == twisted.degree[a] + twisted.degree[b]]
+    target = twisted.labels[draw(st.sampled_from(targets))]
+    result = dict(products[pair])
+    result[target] = result.get(target, 0) + _delta(draw, mode)
+    products[pair] = result
+    return twisted, products
+
+
+@st.composite
+def perturbed_maps(draw, mode):
+    """The identity of the polynomial ring from one twisted basis to another,
+    with one image changed by a multiple of a label of the same degree in
+    three draws out of four."""
+    scale = _scale(draw, mode)
+    source, target = draw(twisted_rings(mode, scale)), draw(twisted_rings(mode, scale))
+    images = {
+        label: target.from_monomials(source.monomial_coords(k))
+        for k, label in enumerate(source.labels) if k
+    }
+    if not draw(st.integers(0, 3)):
+        return source, target, images
+    k = draw(st.integers(1, len(source.labels) - 1))
+    t = draw(st.sampled_from([j for j, d in enumerate(target.degree) if d == source.degree[k]]))
+    image = dict(images[source.labels[k]])
+    image[target.labels[t]] = image.get(target.labels[t], 0) + _delta(draw, mode)
+    images[source.labels[k]] = _clean(image, target.normal)
+    return source, target, images
+
+
+# -- properties ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", sorted(SHAPES))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_associativity_check_agrees_with_the_reference(mode, data):
+    twisted, products = data.draw(perturbed_rings(mode))
+    expected = first_nonassociative_triple(mode, twisted.top, twisted.basis(), products)
+    if expected is None:
+        twisted.ring(products)
+        return
+    with pytest.raises(NonAssociative) as raised:
+        twisted.ring(products)
+    x, y, z = expected
+    assert str(raised.value) == f"products of {x!r}, {y!r}, {z!r} do not associate"
+
+
+@pytest.mark.parametrize("mode", sorted(SHAPES))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_multiplicativity_check_agrees_with_the_reference(mode, data):
+    source, target, images = data.draw(perturbed_maps(mode))
+    source_products, target_products = source.products(), target.products()
+    expected = first_nonmultiplicative_pair(
+        mode, (source.basis(), source_products), (target.basis(), target_products), images
+    )
+    source_ring, target_ring = source.ring(source_products), target.ring(target_products)
+    elements = {label: target_ring.element(image) for label, image in images.items()}
+    if expected is None:
+        RingMap(source_ring, target_ring, elements)
+        return
+    with pytest.raises(PresentationError) as raised:
+        RingMap(source_ring, target_ring, elements)
+    a, b = expected
+    assert str(raised.value) == f"map is not multiplicative on pair ({a!r}, {b!r})"
+
+
+@pytest.mark.parametrize("mode", sorted(SHAPES))
+def test_unperturbed_presentations_pass_both_checks(mode):
+    # A fixed twist and scale: multi-term products and images, and in
+    # integer mode coefficients other than ±1 on single and multiple terms;
+    # both checks and both references accept them.
+    scale = 1 if mode == "mod2" else 2
+    twisted = Twisted(mode, itertools.cycle([2, -3, 1]), scale)
+    plain = Twisted(mode, itertools.repeat(0), scale)
+    products = twisted.products()
+    assert first_nonassociative_triple(mode, twisted.top, twisted.basis(), products) is None
+    ring = twisted.ring(products)
+    multi = [r for r in products.values() if len(r) > 1]
+    assert multi
+    if mode != "mod2":
+        assert any(abs(c) > 1 for r in multi for c in r.values())
+        assert any(abs(c) > 1 for r in products.values() if len(r) == 1 for c in r.values())
+    images = {label: twisted.from_monomials(plain.monomial_coords(k)) for k, label in enumerate(plain.labels) if k}
+    assert any(len(image) > 1 for image in images.values())
+    plain_products = plain.products()
+    assert first_nonmultiplicative_pair(mode, (plain.basis(), plain_products), (twisted.basis(), products), images) is None
+    RingMap(plain.ring(plain_products), ring, {label: ring.element(image) for label, image in images.items()})

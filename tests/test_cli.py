@@ -95,6 +95,29 @@ def test_criteria_stabilized_command(capsys):
     assert report["intermediates"]["shiftUsed"] == 12
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nonstable", "--n", "-5", "--p", "0", "--i", "1", "--k", "inf"],
+        ["nonstable", "--n", "4", "--p", "0", "--i", "1", "--k", "inf"],
+        ["w", "--n", "0", "--p", "3", "--i", "1", "--l", "0", "--k", "inf"],
+        ["stabilized", "--n", "0", "--p", "3", "--i", "1", "--l", "1", "--k", "inf"],
+    ],
+)
+def test_criteria_nonpositive_dimension_exits_2(capsys, argv):
+    status, out, err = run_cli(capsys, "criteria", *argv)
+    assert status == 2
+    assert out == ""
+    assert "dimensions must be positive" in err
+    assert "Traceback" not in err
+
+
+def test_criteria_accepts_kernel_rank_above_n(capsys):
+    status, out, _ = run_cli(capsys, "criteria", "nonstable", "--n", "2", "--p", "5", "--i", "4", "--k", "inf")
+    assert status == 0
+    assert parse_report(out)["verdict"] in ("Established", "NotEstablished")
+
+
 def test_filtration_next_index_command(capsys):
     status, out, _ = run_cli(capsys, "filtration", "next-index", "--l", "0")
     assert status == 0

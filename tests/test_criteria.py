@@ -49,6 +49,17 @@ def test_nonstable_bad_input():
         nonstable_inclusion(8, 3, 1, 9)  # p - n + i negative
 
 
+def test_criteria_reject_bools_and_nonpositive_dimensions():
+    for args in ((True, 4, 1, 9), (4, True, 1, 9), (4, 4, True, 9), (4, 4, 1, True)):
+        with pytest.raises(BadInput):
+            nonstable_inclusion(*args)
+    with pytest.raises(BadInput):
+        w_inclusion(4, 4, 1, True, 9)
+    for n, p in ((0, 3), (-5, 0), (4, 0)):
+        with pytest.raises(BadInput, match="dimensions must be positive"):
+            nonstable_inclusion(n, p, 1, INFINITE_ORDER)
+
+
 def test_w_inclusion_equal_dimensions():
     report = w_inclusion(8, 8, 3, 1, 18)
     assert report.verdict == ESTABLISHED

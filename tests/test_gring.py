@@ -127,7 +127,8 @@ def test_bounded_triples_match_filtered_brute_force():
         every = list(itertools.combinations_with_replacement(nonunit, 3))
         bounded = [t for t in every if sum(ring.degree_of[l] for l in t) <= ring.top_dim]
         assert 0 < len(bounded) < len(every)
-        assert list(ring._bounded_triples()) == bounded
+        triples = [tuple(ring.labels[p] for p in t) for t in ring._bounded_triples()]
+        assert triples == bounded
 
 
 def test_missing_fundamental():
@@ -408,3 +409,19 @@ def test_truncated_polynomial_ring_shape():
     a = ring.basis_element("a")
     assert a * a == ring.basis_element("a^2")
     assert a * ring.basis_element("b") == ring.zero()
+
+
+def test_ring_requires_orientable_to_be_a_bool():
+    basis = [("1", 0), ("x", 2), ("x2", 4)]
+    assert ManifoldRing("integer_mod_torsion", 4, basis, {("x", "x"): {"x2": 1}}).orientable is True
+    for value in ("no", 0, 1, None):
+        with pytest.raises(PresentationError, match="orientable"):
+            ManifoldRing("integer_mod_torsion", 4, basis, {("x", "x"): {"x2": 1}}, orientable=value)
+    with pytest.raises(PresentationError, match="orientable"):
+        truncated_polynomial_ring("mod2", 2, [("a", 1)], orientable="no")
+
+
+def test_truncated_polynomial_ring_rejects_a_bool_degree():
+    for degree in (True, 1.0, "1"):
+        with pytest.raises(PresentationError, match="generator degree"):
+            truncated_polynomial_ring("mod2", 2, [("a", degree)])

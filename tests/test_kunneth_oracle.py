@@ -3,11 +3,12 @@
 The oracle tensors two rings the direct way: every pair of product labels is
 multiplied through the factor tables once and the results are stored in a
 plain ``ManifoldRing``, which also runs its own associativity check.  The
-factored ring must agree with it on every basis product and serialize to the
-same document.
+factored ring must agree with it on every basis product and on seeded random
+element products, and serialize to the same document.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from jetstrata.gring import (
     ManifoldRing,
     PresentationError,
     TensorRing,
+    element_to_spec,
     kunneth_product,
     make_ring,
     tensor_component,
@@ -46,9 +48,9 @@ def materialized_kunneth(left: ManifoldRing, right: ManifoldRing) -> ManifoldRin
         if (a1, b1) == (left.unit_label, right.unit_label):
             continue
         result = {}
-        for ra, ca in left.basis_product(a1, a2):
-            for rb, cb in right.basis_product(b1, b2):
-                result[label(ra, rb)] = ca * cb
+        for ra, ca in left.basis_product(left.position[a1], left.position[a2]):
+            for rb, cb in right.basis_product(right.position[b1], right.position[b2]):
+                result[label(left.labels[ra], right.labels[rb])] = ca * cb
         if result:
             products[(label(a1, b1), label(a2, b2))] = result
     return ManifoldRing(
@@ -118,8 +120,26 @@ def test_factored_products_match_the_table(case):
     assert product.labels == oracle.labels
     assert product.degree_of == oracle.degree_of
     assert product.fundamental_label == oracle.fundamental_label
-    for a, b in itertools.product(product.labels, repeat=2):
-        assert product.basis_product(a, b) == oracle.basis_product(a, b), (a, b)
+    # Equal label tuples, so equal positions name equal labels.
+    for i, j in itertools.product(range(len(product.labels)), repeat=2):
+        assert product.basis_product(i, j) == oracle.basis_product(i, j), (product.labels[i], product.labels[j])
+
+
+def test_element_products_match_the_table(case):
+    product, oracle = case
+    # Positions are compared inside each ring, so the basis order must agree.
+    assert product.labels == oracle.labels
+    rng = random.Random(f"kunneth-elements:{product.labels}")
+    nonzero = 0
+    for _ in range(20):
+        x, y = (
+            {label: rng.randint(-3, 3) for label in rng.sample(product.labels, rng.randint(1, len(product.labels)))}
+            for _ in range(2)
+        )
+        got = product.element(x) * product.element(y)
+        assert element_to_spec(got) == element_to_spec(oracle.element(x) * oracle.element(y)), (x, y)
+        nonzero += bool(got)
+    assert nonzero >= 10
 
 
 def test_tensor_ring_stores_no_table(case):
@@ -155,5 +175,6 @@ def test_tensor_products_have_multiple_terms():
     left, right = mod2_odd_degrees()
     product, _, _ = kunneth_product(left, right)
     a_u = f"a{TENSOR_SEPARATOR}u"
-    assert len(product.basis_product(a_u, a_u)) == 2
+    p = product.position[a_u]
+    assert len(product.basis_product(p, p)) == 2
     assert any(d % 2 for d in product.degree_of.values())
