@@ -24,6 +24,7 @@ from .gring import (
     element_from_spec,
     element_to_spec,
     invert_total_class,
+    is_integer,
     read_field,
 )
 from .symbols import JetContext
@@ -220,7 +221,7 @@ def porteous_sw(i: int, ctx: JetContext, bundle: VirtualBundle) -> ObstructionCl
     """
     if bundle.variant is not ClassVariant.STIEFEL_WHITNEY:
         raise ModeMismatch("mod-2 determinant class needs a mod-2 bundle")
-    if not isinstance(i, int) or i < 1:
+    if not is_integer(i) or i < 1:
         raise CharClassError(f"stratum index must be a positive integer, got {i!r}")
     size = ctx.p - ctx.n + i
     if size < 0:
@@ -237,7 +238,7 @@ def porteous_pontrjagin(i: int, ctx: JetContext, bundle: VirtualBundle) -> Obstr
     """
     if bundle.variant is not ClassVariant.PONTRJAGIN:
         raise ModeMismatch("integer determinant class needs an integer-mode bundle")
-    if not isinstance(i, int) or i < 1:
+    if not is_integer(i) or i < 1:
         raise CharClassError(f"stratum index must be a positive integer, got {i!r}")
     if (ctx.n - ctx.p) % 2 != 0 or i % 2 != 0:
         raise ParityError(

@@ -362,14 +362,14 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "selfcheck", False):
             return args.handler(args)
-        report = args.handler(args)
+        # Emitting fails on an unwritable --out or an integer too long to print.
+        _emit(args.handler(args), getattr(args, "out", None))
     except gring.ConsistencyError as error:
         sys.stderr.write(f"internal inconsistency: {error}\n")
         return 1
     except (ValueError, OSError) as error:
         sys.stderr.write(f"{type(error).__name__}: {error}\n")
         return 2
-    _emit(report, getattr(args, "out", None))
     return 0
 
 

@@ -100,30 +100,28 @@ def w_inclusion(n: int, p: int, i: int, ell: int, k) -> CriterionReport:
     )
 
 
-def _core_is_admissible(n: int, p: int, i: int) -> bool:
-    # A shifted core must still be a meaningful pair of dimensions carrying
-    # a nonempty kernel-rank-i stratum.
-    if i > n or n < 1:
-        return False
-    if n >= p and p < 2:
-        return False
-    return True
-
-
 def stabilized_w_inclusion(n: int, p: int, i: int, ell: int, k) -> CriterionReport:
     """Inclusion after shifting both dimensions down by the smallest m >= 0
     that makes the direct criterion succeed; the inequality's left side is
     shift-invariant, so only the right side and the jet-order requirement
     move with m.  Not established when no admissible shift works.
+
+    A shifted core must carry a nonempty kernel-rank-i stratum: i <= n-m,
+    and p-m >= 2 when n >= p.  Both requirements weaken as m grows, so the
+    smallest working shift is read off in closed form.
     """
     _check_core(n, p, i)
     if not is_integer(ell) or ell < 0:
         raise BadInput(f"codimension budget must be a nonnegative integer, got {ell!r}")
-    for m in range(0, max(n - i, -1) + 1):
-        if not _core_is_admissible(n - m, p - m, i):
-            continue
-        report = w_inclusion(n - m, p - m, i, ell, k)
-        if report.established:
+    top = n - i if n < p else min(n - i, p - 2)
+    if top >= 0:
+        report = w_inclusion(n, p, i, ell, k)
+        # lhs >= n-m+ell and k >= p-m+ell+1.
+        m = max(0, n + ell - report.lhs, p + ell + 1 - k if is_finite_order(k) else 0)
+        if m <= top:
+            report = w_inclusion(n - m, p - m, i, ell, k)
+            if not report.established:
+                raise ConsistencyError(f"the smallest working shift m={m} does not establish the inclusion")
             notes = "established directly" if m == 0 else f"established after shift m={m}"
             return CriterionReport(
                 ESTABLISHED, report.lhs, report.rhs, report.k_required, m, notes

@@ -6,8 +6,8 @@ A run is built from a strictly increasing schedule of codimension budgets
 l_0 < l_1 < ... < l_{d+1} and, for each stage t <= d, a synthetic ring of
 dimension 8*i_t^2 (where i_t is the smallest index whose cubic inequality
 clears budget l_t) together with a virtual bundle whose even-stratum
-determinant class is nonzero.  The product ring is the iterated tensor of the
-stage rings; on it, the stage-t difference bundle is the pullback of the
+determinant class is nonzero.  The product ring is one flat tensor of all
+the stage rings; on it, the stage-t difference bundle is the pullback of the
 stage's own difference bundle, every other factor cancelling.
 """
 
@@ -25,8 +25,6 @@ from .gring import (
     ModeMismatch,
     RingMap,
     RingMismatch,
-    compose,
-    identity_map,
     is_integer,
     kunneth_product,
 )
@@ -71,7 +69,7 @@ def next_index(budget: int) -> int:
     The cap 4i^3 - 6i^2 is increasing for i >= 1, so the answer is a
     bisection on it, in O(log budget) steps for every budget.
     """
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
+    if not is_integer(budget) or budget < 0:
         raise FiltrationError(f"budget must be a nonnegative integer, got {budget!r}")
     if budget <= _SMALL_CAPS[-1]:
         return bisect_left(_SMALL_CAPS, budget) + 1
@@ -171,13 +169,7 @@ def build_run(depth: int, schedule, stage_bundles) -> FiltrationRun:
             FiltrationStage(t, 2 * index, schedule[t], dim, ring, bundle, obstruction)
         )
 
-    product_ring = stages[0].ring
-    injections: list[RingMap] = [identity_map(product_ring)]
-    for stage in stages[1:]:
-        product_ring, keep_left, inject_right = kunneth_product(product_ring, stage.ring)
-        injections = [compose(keep_left, m) for m in injections]
-        injections.append(inject_right)
-
+    product_ring, *injections = kunneth_product(*(s.ring for s in stages))
     if product_ring.top_dim != sum(s.dim for s in stages):
         raise ConsistencyError("product dimension differs from the sum of stage dimensions")
     return FiltrationRun(depth, schedule, tuple(stages), product_ring, tuple(injections))
@@ -192,7 +184,7 @@ def product_obstruction(run: FiltrationRun, t: int) -> ObstructionClass:
     equal the injection of the stage obstruction; any disagreement is an
     internal inconsistency.
     """
-    if not isinstance(t, int) or t < 0 or t > run.depth:
+    if not is_integer(t) or t < 0 or t > run.depth:
         raise StageOutOfRange(f"stage {t} outside 0..{run.depth}")
     ring = run.product_ring
     total_positive = ring.unit()

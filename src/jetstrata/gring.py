@@ -15,6 +15,7 @@ All arithmetic is exact: arbitrary-precision integers, or bits mod 2.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -422,7 +423,7 @@ class GradedElement:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "GradedElement":
-        if not isinstance(exponent, int) or exponent < 0:
+        if not is_integer(exponent) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         out = self.ring.unit()
         for _ in range(exponent):
@@ -502,8 +503,6 @@ class RingMap:
         source: ManifoldRing,
         target: ManifoldRing,
         images: Mapping[str, GradedElement],
-        *,
-        verify: bool = True,
     ):
         self.source = source
         self.target = target
@@ -522,8 +521,7 @@ class RingMap:
         if table[source.unit_label] != target.unit():
             raise BadUnit("map must send the unit to the unit")
         self.images: tuple[GradedElement, ...] = tuple(table[label] for label in source.labels)
-        if verify:
-            self._verify_multiplicative()
+        self._verify_multiplicative()
 
     def _image(self, terms: Iterable[tuple[int, int]]) -> dict[int, int]:
         """Unnormalized target coefficients of the source (position, coefficient) terms."""
@@ -562,110 +560,116 @@ class RingMap:
         }
 
 
-def identity_map(ring: ManifoldRing) -> RingMap:
-    return RingMap(ring, ring, {l: ring.basis_element(l) for l in ring.labels}, verify=False)
-
-
-def compose(outer: RingMap, inner: RingMap) -> RingMap:
-    if inner.target is not outer.source:
-        raise RingMismatch("maps do not compose: inner target differs from outer source")
-    images = {l: outer(image) for l, image in zip(inner.source.labels, inner.images)}
-    return RingMap(inner.source, outer.target, images, verify=False)
-
-
 TENSOR_SEPARATOR = "⊗"  # the label glue used by kunneth_product
 
 
 class TensorRing(ManifoldRing):
-    """H*(A) ⊗ H*(B), the Künneth ring of a product A × B (torsion-free or
-    mod-2 coefficients, where the graded sign is 1).
+    """H*(P_0) ⊗ ... ⊗ H*(P_d), the Künneth ring of P_0 × ... × P_d
+    (torsion-free or mod-2 coefficients, where the graded sign is 1).
 
-    ``pairs`` lists the factor positions (a, b) in basis order; the basis
-    label of a pair is ``a⊗b`` of the factor labels and its degree the sum of
-    the factor degrees.  ``factor_positions`` maps a position to its pair.
-    Products are computed factor by factor, (a1⊗b1)(a2⊗b2) = (a1a2)⊗(b1b2),
-    so no product table is stored.
+    ``factor_positions`` and ``factor_degrees`` map a position to one
+    position and degree per ring in ``factors``: its label joins the factor
+    labels with ``⊗`` and its degree adds theirs.  Products are computed
+    factor by factor, so no product table is stored.
     """
 
-    def __init__(self, left: ManifoldRing, right: ManifoldRing, pairs: Sequence[tuple[int, int]]):
-        self.left = left
-        self.right = right
-        self.factor_positions: tuple[tuple[int, int], ...] = tuple(pairs)
-        self._position_of = [[None] * len(right.labels) for _ in left.labels]  # [a][b] -> position
-        for p, (a, b) in enumerate(pairs):
-            self._position_of[a][b] = p
-        labels = [f"{left.labels[a]}{TENSOR_SEPARATOR}{right.labels[b]}" for a, b in pairs]
+    def __init__(self, factors: Sequence[ManifoldRing], tuples: Sequence[tuple[int, ...]]):
+        self.factors = tuple(factors)
+        self.factor_positions: tuple[tuple[int, ...], ...] = tuple(tuples)
+        # A tuple's key is its mixed-radix number, the first factor most
+        # significant; _position_of[key] is the position of the tuple.
+        sizes = [len(f.labels) for f in self.factors]
+        self._strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+        self._steps = tuple(zip([f.basis_product for f in self.factors], self._strides))
+        self._position_of = [0] * math.prod(sizes)
+        for p, t in enumerate(self.factor_positions):
+            self._position_of[sum(a * stride for a, stride in zip(t, self._strides))] = p
+        labels = [TENSOR_SEPARATOR.join(f.labels[a] for f, a in zip(self.factors, t)) for t in self.factor_positions]
+        self.factor_degrees = [tuple(f.degrees[a] for f, a in zip(self.factors, t)) for t in self.factor_positions]
+        # Each factor was checked when it was built, and a tensor product of
+        # associative rings is associative: nothing to verify.
         super().__init__(
-            left.mode,
-            left.top_dim + right.top_dim,
-            [(l, left.degrees[a] + right.degrees[b]) for l, (a, b) in zip(labels, pairs)],
-            fundamental=labels[self._position_of[left.fundamental_position][right.fundamental_position]],
-            orientable=left.orientable and right.orientable,
+            self.factors[0].mode,
+            sum(f.top_dim for f in self.factors),
+            list(zip(labels, map(sum, self.factor_degrees))),
+            fundamental=labels[self.position_of(f.fundamental_position for f in self.factors)],
+            orientable=all(f.orientable for f in self.factors),
+            verify=False,
         )
 
-    def _verify_associativity(self) -> None:
-        """Nothing to enumerate: each factor was checked when it was built,
-        and a tensor product of associative rings is associative."""
+    def position_of(self, factor_positions: Iterable[int]) -> int:
+        """The position of the tensor of the given factor positions."""
+        return self._position_of[sum(a * stride for a, stride in zip(factor_positions, self._strides))]
 
     def basis_product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
-        a1, b1 = self.factor_positions[i]
-        a2, b2 = self.factor_positions[j]
-        left = self.left.basis_product(a1, a2)
-        if not left:
-            return ()
-        right = self.right.basis_product(b1, b2)
+        # A single-term factor product shifts the key and scales; only the
+        # others multiply the terms.  Every factor lists its terms by
+        # position, all in one degree, so with the first factor most
+        # significant the keys come out in the order of the tensor positions.
+        key, scale, terms = 0, 1, ((0, 1),)
+        for (factor_product, stride), a, b in zip(self._steps, self.factor_positions[i], self.factor_positions[j]):
+            product = factor_product(a, b)
+            if len(product) == 1:
+                (r, c), = product
+                key += r * stride
+                scale *= c
+            elif product:
+                terms = [(k + r * stride, e * c) for k, e in terms for r, c in product]
+            else:
+                return ()
         index = self._position_of
-        # Both factors list their terms by position, one degree each, so the
-        # tensor terms come out by position too.
-        return tuple([(index[ra][rb], ca * cb) for ra, ca in left for rb, cb in right])
+        return tuple([(index[key + k], scale * e) for k, e in terms])
 
     def _product_entries(self) -> Iterator[tuple[tuple[int, int], tuple[tuple[int, int], ...]]]:
-        degrees, top = self.degrees, self.top_dim
-        # The basis is listed by degree with the unit first, so a row ends at
-        # the first position whose product with ``i`` passes the top dimension.
-        for i in range(1, len(degrees)):
-            for j in itertools.takewhile(lambda j: degrees[i] + degrees[j] <= top, range(i, len(degrees))):
+        degrees, top, by_degree = self.degrees, self.top_dim, self.positions_by_degree.items()
+        for i in range(len(degrees)):
+            if i == self.unit_position:
+                continue
+            # Degree 0 holds only the unit, whose products are implied.
+            bound = top - degrees[i]
+            for j in sorted(j for d, ps in by_degree if 0 < d <= bound for j in ps if j >= i):
                 if packed := self.basis_product(i, j):
                     yield (i, j), packed
 
 
-def kunneth_product(left: ManifoldRing, right: ManifoldRing) -> tuple[TensorRing, RingMap, RingMap]:
-    """Tensor ring of two rings plus the two factor injections.
+def kunneth_product(*factors: ManifoldRing) -> tuple:
+    """``ring, inject_0, ..., inject_d = kunneth_product(P_0, ..., P_d)``: the
+    tensor ring of one or more rings and the factor injections.
 
-    Basis labels are ``a⊗b``, listed by total degree, then by the degree and
-    position of ``a``, then by the position of ``b``; degrees add; the
-    fundamental class is the tensor of the factor fundamentals.  The
-    injections send ``a`` to ``a⊗1`` and ``b`` to ``1⊗b``.
+    The basis is the first factor in its own order, then for each further
+    factor the (previous tuple, new position) pairs stably sorted by total
+    degree and then by the previous degree, as iterated binary products
+    would list it.  Injection k sends ``a`` to the tensor with ``a`` in
+    factor k and the unit in every other factor.
     """
-    if left.mode is not right.mode:
+    if not factors:
+        raise PresentationError("a tensor product needs at least one factor")
+    if any(f.mode is not factors[0].mode for f in factors):
         raise ModeMismatch("tensor factors must share a coefficient mode")
-    by_left, by_right = left.positions_by_degree, right.positions_by_degree
-    bidegrees = sorted(itertools.product(by_left, by_right), key=lambda d: (d[0] + d[1], d[0]))
-    pairs = [p for da, db in bidegrees for p in itertools.product(by_left[da], by_right[db])]
-    ring = TensorRing(left, right, pairs)
-    index, left_unit, right_unit = ring._position_of, left.unit_position, right.unit_position
-    inject_left = RingMap(
-        left, ring, {l: GradedElement(ring, {index[a][right_unit]: 1}) for a, l in enumerate(left.labels)}
+    basis = [(d, (a,)) for a, d in enumerate(factors[0].degrees)]  # (degree, factor positions)
+    for factor in factors[1:]:
+        pairs = sorted(itertools.product(basis, enumerate(factor.degrees)), key=lambda p: (p[0][0] + p[1][1], p[0][0]))
+        basis = [(d + e, t + (c,)) for (d, t), (c, e) in pairs]
+    ring = TensorRing(factors, [t for _, t in basis])
+    units = [f.unit_position for f in factors]
+    return ring, *(
+        RingMap(factor, ring, {
+            label: GradedElement(ring, {ring.position_of(units[:k] + [a] + units[k + 1:]): 1})
+            for a, label in enumerate(factor.labels)
+        })
+        for k, factor in enumerate(factors)
     )
-    inject_right = RingMap(
-        right, ring, {l: GradedElement(ring, {index[left_unit][b]: 1}) for b, l in enumerate(right.labels)}
-    )
-    return ring, inject_left, inject_right
 
 
-def tensor_component(
-    c: GradedElement, left_degree: int, right_degree: int
-) -> GradedElement:
-    """Part of a tensor-ring element whose factors sit in the given bidegree."""
+def tensor_component(c: GradedElement, *degrees: int) -> GradedElement:
+    """Part of a tensor-ring element whose factors sit in the given degrees,
+    one degree per factor."""
     ring = c.ring
     if not isinstance(ring, TensorRing):
         raise PresentationError("element does not belong to a tensor ring")
-    picked = {}
-    for p, coefficient in c.coeffs.items():
-        a, b = ring.factor_positions[p]
-        if ring.left.degrees[a] == left_degree and ring.right.degrees[b] == right_degree:
-            picked[p] = coefficient
-    return GradedElement(ring, picked)
+    if len(degrees) != len(ring.factors):
+        raise PresentationError(f"tensor ring has {len(ring.factors)} factors, got {len(degrees)} degrees")
+    return GradedElement(ring, {p: v for p, v in c.coeffs.items() if ring.factor_degrees[p] == degrees})
 
 
 def _rank(rows: list[list[int]], mod2: bool) -> int:

@@ -8,8 +8,10 @@ is nonempty beyond the basic rank checks is the caller's responsibility.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
+
+from .gring import is_integer
 
 
 class SymbolError(ValueError):
@@ -41,7 +43,8 @@ class NonzeroTail(SymbolError):
 
 
 class _InfiniteOrder:
-    """Marker for infinite jet order; finite-order arithmetic rejects it."""
+    """Marker for infinite jet order; finite-order arithmetic rejects it, and
+    every consumer asks ``is_finite_order`` before comparing an order."""
 
     _instance = None
 
@@ -52,18 +55,6 @@ class _InfiniteOrder:
 
     def __repr__(self):
         return "inf"
-
-    def __ge__(self, other):
-        return isinstance(other, (int, _InfiniteOrder))
-
-    def __gt__(self, other):
-        return isinstance(other, int)
-
-    def __le__(self, other):
-        return isinstance(other, _InfiniteOrder)
-
-    def __lt__(self, other):
-        return False
 
 
 INFINITE_ORDER = _InfiniteOrder()
@@ -81,7 +72,7 @@ def parse_order(value) -> int | _InfiniteOrder:
         if value == "inf":
             return INFINITE_ORDER
         value = int(value)
-    if not isinstance(value, int) or value < 1:
+    if not is_integer(value) or value < 1:
         raise SymbolError(f"jet order must be a positive integer or inf, got {value!r}")
     return value
 
@@ -100,12 +91,12 @@ class JetContext:
     k: int | _InfiniteOrder = INFINITE_ORDER
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not is_integer(self.n) or self.n < 1:
             raise SymbolError(f"source dimension must be a positive integer, got {self.n!r}")
-        if not isinstance(self.p, int) or self.p < 1:
+        if not is_integer(self.p) or self.p < 1:
             raise SymbolError(f"target dimension must be a positive integer, got {self.p!r}")
         if is_finite_order(self.k):
-            if not isinstance(self.k, int) or self.k < 1:
+            if not is_integer(self.k) or self.k < 1:
                 raise SymbolError(f"jet order must be a positive integer or inf, got {self.k!r}")
 
 
@@ -121,7 +112,7 @@ class BoardmanSymbol:
         if not entries:
             raise SymbolError("symbol must be nonempty")
         for e in entries:
-            if not isinstance(e, int) or e < 0:
+            if not is_integer(e) or e < 0:
                 raise SymbolError(f"symbol entries must be nonnegative integers, got {e!r}")
         for a, b in zip(entries, entries[1:]):
             if a < b:
@@ -149,7 +140,7 @@ def validate_symbol(entries, ctx: JetContext) -> BoardmanSymbol:
 
 def first_order_codim(i: int, ctx: JetContext) -> int:
     """Codimension of the first-order stratum of kernel rank i: (p-n+i)*i."""
-    if not isinstance(i, int) or i < 1:
+    if not is_integer(i) or i < 1:
         raise SymbolError(f"kernel rank must be a positive integer, got {i!r}")
     if i > ctx.n:
         raise ExceedsSource(f"kernel rank {i} exceeds source dimension {ctx.n}")
@@ -210,4 +201,15 @@ def jet_fiber_dim(ctx: JetContext) -> int:
     """
     if not is_finite_order(ctx.k):
         raise SymbolError("jet dimension requires a finite jet order")
-    return ctx.p * (math.comb(ctx.n + ctx.k, ctx.n) - 1)
+    # C(n+k, min(n, k)) step by step: the i-th step is at least 2^i, so a
+    # value too long to print is refused within about 14,300 steps.
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    small, large = sorted((ctx.n, ctx.k))
+    monomials, ceiling = 1, 10**limit
+    for i in range(1, small + 1):
+        monomials = monomials * (large + i) // i
+        if monomials > ceiling:
+            break
+    if ctx.p * (monomials - 1) >= ceiling:
+        raise SymbolError(f"jet dimension has more than {limit} digits, the limit for printing an integer")
+    return ctx.p * (monomials - 1)

@@ -300,6 +300,29 @@ def test_out_flag_writes_only_the_report_file(capsys, tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # The report cannot be written: FileNotFoundError.
+        (["codim", "--symbol", "1", "--n", "2", "--p", "2", "--out", "/nonexistent/dir/x.json"],
+         "FileNotFoundError"),
+        # lhs = i^2(i-1)/2 has about 4,500 digits, past the int-to-str limit
+        # json.dumps meets when it prints the report.
+        (["criteria", "w", "--n", "5", "--p", "5", "--i", str(10**1500), "--k", "inf"],
+         "Exceeds the limit"),
+        # jetFiberDim would have more than 4,300 digits; refused before printing.
+        (["codim", "--symbol", "1", "--n", "10000", "--p", "10000", "--k", "10000"], "digits"),
+    ],
+)
+def test_emit_failures_exit_2_with_one_line(capsys, argv, named):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert named in err
+    assert "Traceback" not in err
+
+
 def test_missing_input_file_exits_2(capsys, bundle_file):
     status, _, err = run_cli(
         capsys,

@@ -1,9 +1,11 @@
-"""The exit-code contract under arbitrary input documents.
+"""The exit-code contract under arbitrary input documents and options.
 
 Valid ring, bundle and run documents from ``test_cli`` get one subtree
-replaced by an arbitrary JSON value, and each command must either compute a
-report (exit 0) or name a violated invariant (exit 2): never a traceback,
-never output that is not JSON, and never unbounded time.
+replaced by an arbitrary JSON value, and the commands that read only options
+get arbitrary integers, malformed symbol and jet-order strings and
+unwritable report paths.  Each command must either compute a report (exit 0)
+or name a violated invariant (exit 2): never a traceback, never output that
+is not JSON, and never unbounded time.
 """
 
 import contextlib
@@ -87,6 +89,10 @@ def test_mutated_documents_exit_0_or_2_with_a_json_report(tmp_path_factory, data
         (directory / f"{name}.json").write_text(json.dumps(document), encoding="utf-8")
     argv = [str(directory / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
 
+    _assert_contract(command, argv)
+
+
+def _assert_contract(command, argv):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -99,3 +105,51 @@ def test_mutated_documents_exit_0_or_2_with_a_json_report(tmp_path_factory, data
     if out.getvalue():
         json.loads(out.getvalue())
     assert elapsed < EXAMPLE_SECONDS
+
+
+# Integers across a wide signed range: small ones, the edges, and values from
+# 10^4 up to far past any dimension the arithmetic could enumerate.
+INTEGERS = (
+    st.integers(1, 12)
+    | st.integers(-5, 40)
+    | st.sampled_from([0, -1, 10**4, 10**6, 10**12, -(10**12)])
+    | st.integers(-(10**40), 10**40)
+    | st.integers(10**4, 10**400)
+)
+_TEXT = st.text(alphabet="0123456789,-+ _.einfx", max_size=12)
+SYMBOLS = st.lists(st.integers(-2, 12), min_size=1, max_size=5).map(lambda es: ",".join(map(str, es))) | _TEXT
+ORDERS = st.sampled_from(["inf", "Inf", "", "0", "-3", "1e3", "2.5", "1_0", " 7"]) | INTEGERS.map(str) | _TEXT
+UNWRITABLE = "/nonexistent/dir/report.json"
+
+
+def _option(name, value):
+    # "--n=-5" keeps a negative value from reading as an option.
+    return f"--{name}={value}"
+
+
+@st.composite
+def option_commands(draw):
+    command = draw(st.sampled_from(["codim", "criteria nonstable", "criteria w", "criteria stabilized",
+                                    "filtration next-index"]))
+    if command == "codim":
+        argv = ["codim", _option("symbol", draw(SYMBOLS)), _option("n", draw(INTEGERS)),
+                _option("p", draw(INTEGERS))]
+        if draw(st.booleans()):
+            argv.append(_option("k", draw(ORDERS)))
+    elif command.startswith("criteria"):
+        argv = [*command.split(), *(_option(name, draw(INTEGERS)) for name in ("n", "p", "i")),
+                _option("k", draw(ORDERS))]
+        if command != "criteria nonstable":
+            argv.append(_option("l", draw(INTEGERS)))
+    else:
+        argv = ["filtration", "next-index", _option("l", draw(INTEGERS))]
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(_option("out", UNWRITABLE))
+    return command, argv
+
+
+@settings(max_examples=300)
+@given(option_commands())
+def test_option_commands_exit_0_or_2_with_a_json_report(drawn):
+    command, argv = drawn
+    _assert_contract(command, argv)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from jetstrata import criteria
@@ -137,6 +139,46 @@ def test_stabilized_jet_order_constraint_moves_with_shift():
     report = stabilized_w_inclusion(20, 20, 3, 1, 10)
     assert report.established
     assert report.k_required <= 10
+
+
+def scanned_stabilized(n, p, i, ell, k):
+    """The smallest working shift by scanning m = 0..n-i: the definition."""
+    for m in range(0, max(n - i, -1) + 1):
+        if i > n - m or (n >= p and p - m < 2):
+            continue
+        if w_inclusion(n - m, p - m, i, ell, k).established:
+            return m
+    return None
+
+
+def test_stabilized_shift_matches_the_scan():
+    established = 0
+    for n in range(1, 13):
+        for p in range(1, 13):
+            for i in range(1, 14):
+                if p - n + i < 0:
+                    continue
+                for ell in (0, 1, 3):
+                    for k in (1, p, p + ell + 1, 30, INFINITE_ORDER):
+                        report = stabilized_w_inclusion(n, p, i, ell, k)
+                        m = scanned_stabilized(n, p, i, ell, k)
+                        assert report.established == (m is not None), (n, p, i, ell, k)
+                        if m is not None:
+                            established += 1
+                            direct = w_inclusion(n - m, p - m, i, ell, k)
+                            assert (report.shift_used, report.lhs, report.rhs, report.k_required) == (
+                                m, direct.lhs, direct.rhs, direct.k_required
+                            )
+    assert established > 100
+
+
+def test_stabilized_cost_does_not_grow_with_the_dimensions():
+    start = time.perf_counter()
+    for n in (10**7, 10**12, 10**40):
+        assert not stabilized_w_inclusion(n, n, 1, 0, 5).established
+        # lhs = 9 for i = 3, so the shift must bring n down to 9.
+        assert stabilized_w_inclusion(n, n, 3, 0, INFINITE_ORDER).shift_used == n - 9
+    assert time.perf_counter() - start < 1.0
 
 
 def test_reports_satisfy_verdict_iff_inequality():

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -19,7 +20,7 @@ from jetstrata.filtration import (
 )
 from jetstrata.gring import (
     RingMap,
-    identity_map,
+    kunneth_product,
     tensor_component,
     truncated_polynomial_ring,
 )
@@ -177,6 +178,69 @@ def test_two_stage_run_product_bookkeeping():
         assert is_degreewise_injective(inject)
 
 
+def depth3_bundles():
+    """Stages of dimension 32/72/128/200 on generators of degree 4/4/8/20,
+    each with a nonzero stage obstruction under the schedule below."""
+    bundles = []
+    for dim, degree in ((32, 4), (72, 4), (128, 8), (200, 20)):
+        ring = truncated_polynomial_ring("integer_mod_torsion", dim, [("x", degree)])
+        positive = {"1": 1, "x": 1, "x^2": 1} | ({"x^3": -1} if dim > 32 else {})
+        bundles.append(VirtualBundle(ring.element(positive), ring.element({"1": 1, "x": -1})))
+    return bundles
+
+
+DEPTH3_SCHEDULE = [8, 19, 58, 318, 384]
+
+
+def test_depth3_run_on_31977_labels_is_quick():
+    bundles = depth3_bundles()
+    start = time.perf_counter()
+    run = build_run(3, DEPTH3_SCHEDULE, bundles)
+    obstructions = [product_obstruction(run, t) for t in range(4)]
+    elapsed = time.perf_counter() - start
+    assert len(run.product_ring.labels) == 9 * 19 * 17 * 11 == 31_977
+    assert [stage.dim for stage in run.stages] == [32, 72, 128, 200]
+    assert run.product_ring.top_dim == 432
+    for obstruction, stage, inject in zip(obstructions, run.stages, run.injections):
+        assert not obstruction.is_zero
+        assert obstruction.value == inject(stage.obstruction.value)
+    assert elapsed < 10.0
+
+
+def test_each_run_injection_is_checked_once(monkeypatch):
+    # The maps whose multiplicativity build_run checks are exactly the run's
+    # injections, one per stage, each over every pair of its stage basis.
+    checked, pairs = [], {}
+    check = RingMap._verify_multiplicative
+
+    def counting(self):
+        checked.append(self)
+        seen = pairs[id(self)] = set()
+        product = self.source.basis_product
+
+        def recording(i, j):
+            seen.add((i, j))
+            return product(i, j)
+
+        self.source.basis_product = recording
+        try:
+            check(self)
+        finally:
+            del self.source.basis_product
+
+    monkeypatch.setattr(RingMap, "_verify_multiplicative", counting)
+    stage0 = chain_bundle(32, {1: 1, 2: 1}, gen="t")
+    stage1 = chain_bundle(72, {1: 1, 3: 1}, gen="s")
+    stage2 = chain_bundle(72, {1: 2, 3: 1}, gen="u")
+    run = build_run(2, [8, 9, 10, 11], [stage0, stage1, stage2])
+    assert len(run.injections) == 3
+    assert [id(m) for m in checked] == [id(m) for m in run.injections]
+    for stage, inject in zip(run.stages, run.injections):
+        assert inject.source is stage.ring and inject.target is run.product_ring
+        nonunit = [p for p in range(len(stage.ring.labels)) if p != stage.ring.unit_position]
+        assert pairs[id(inject)] == set(itertools.combinations_with_replacement(nonunit, 2))
+
+
 def test_product_obstruction_stage_out_of_range():
     run = build_run(0, [8, 9], [chain_bundle(32, {1: 1, 2: 1})])
     with pytest.raises(StageOutOfRange):
@@ -199,7 +263,8 @@ def test_zero_stage_gives_zero_product_obstruction():
         bundle,
         porteous_pontrjagin(4, JetContext(32, 32, INFINITE_ORDER), bundle),
     )
-    run = FiltrationRun(0, (8, 9), (stage,), ring, (identity_map(ring),))
+    product, inject = kunneth_product(ring)
+    run = FiltrationRun(0, (8, 9), (stage,), product, (inject,))
     assert product_obstruction(run, 0).is_zero
 
 

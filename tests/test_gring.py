@@ -16,7 +16,7 @@ from jetstrata.gring import (
     PresentationError,
     RingMap,
     RingMismatch,
-    identity_map,
+    element_to_spec,
     invert_total_class,
     is_degreewise_injective,
     kunneth_product,
@@ -268,9 +268,15 @@ def test_pair_fundamental_examples(four_ring):
 
 
 def test_apply_map_identity(four_ring):
-    ident = identity_map(four_ring)
+    # The one-factor Künneth product keeps the ring's basis, so its
+    # injection is the identity up to the ring it lands in.
+    product, ident = kunneth_product(four_ring)
+    assert product.labels == four_ring.labels
+    assert product.degrees == four_ring.degrees
+    assert product.fundamental_label == four_ring.fundamental_label
     c = four_ring.element({"1": 2, "x": -1, "x2": 4})
-    assert ident(c) == c
+    assert element_to_spec(ident(c)) == element_to_spec(c)
+    assert ident(c) * ident(c) == ident(c * c)
 
 
 def test_apply_map_multiplicative_on_random_pairs():
@@ -341,6 +347,24 @@ def test_tensor_component_extraction():
 def test_tensor_component_requires_tensor_ring(four_ring):
     with pytest.raises(PresentationError):
         tensor_component(four_ring.unit(), 0, 0)
+
+
+def test_tensor_component_takes_one_degree_per_factor():
+    a, b, c = four_manifold_ring(), four_manifold_ring(), four_manifold_ring()
+    product, qa, qb, qc = kunneth_product(a, b, c)
+    x = [q(r.basis_element("x")) for q, r in ((qa, a), (qb, b), (qc, c))]
+    mixed = x[0] * x[2] + qb(b.basis_element("x2"))
+    assert tensor_component(mixed, 2, 0, 2) == x[0] * x[2]
+    assert tensor_component(mixed, 0, 4, 0) == qb(b.basis_element("x2"))
+    assert tensor_component(mixed, 2, 2, 0) == product.zero()
+    for degrees in ((2, 0), (2, 0, 2, 0)):
+        with pytest.raises(PresentationError, match="3 factors, got"):
+            tensor_component(mixed, *degrees)
+
+
+def test_kunneth_product_needs_a_factor():
+    with pytest.raises(PresentationError):
+        kunneth_product()
 
 
 def test_associativity_and_commutativity_exhaustive():

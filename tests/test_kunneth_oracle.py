@@ -2,12 +2,16 @@
 
 The oracle tensors two rings the direct way: every pair of product labels is
 multiplied through the factor tables once and the results are stored in a
-plain ``ManifoldRing``, which also runs its own associativity check.  The
-factored ring must agree with it on every basis product and on seeded random
-element products, and serialize to the same document.
+plain ``ManifoldRing``, which also runs its own associativity check.  More
+factors are tensored one at a time, ``materialized_kunneth(materialized_kunneth(A, B), C)``.
+The flat factored ring must agree with it on every basis product, on seeded
+random element products and on its injections, and serialize to the same
+document.
 """
 
+import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -79,6 +83,12 @@ def integer_two_term_ring():
     )
 
 
+def mod2_cube_ring():
+    # v*v is given with coefficient 3, which reads as 1 mod 2.
+    basis = [("1", 0), ("v", 1), ("w", 2), ("vw", 3)]
+    return ManifoldRing("mod2", 3, basis, {("v", "v"): {"w": 3}, ("v", "w"): {"vw": 1}}, "vw")
+
+
 def four_by_four():
     return four_manifold_ring(), four_manifold_ring()
 
@@ -93,25 +103,49 @@ def tensor_of_tensor():
     return inner, integer_two_term_ring()
 
 
+def three_mod2_odd_degrees():
+    return mod2_two_term_ring(), truncated_polynomial_ring("mod2", 3, [("u", 1)]), mod2_cube_ring()
+
+
+def three_integer():
+    # Coefficients other than 1 in the first and last factor.
+    return integer_two_term_ring(), four_manifold_ring(), integer_two_term_ring()
+
+
 def oracle_factor(ring):
     """A tensor factor as the oracle sees it: itself materialized."""
     if isinstance(ring, TensorRing):
-        return materialized_kunneth(oracle_factor(ring.left), oracle_factor(ring.right))
+        return functools.reduce(materialized_kunneth, map(oracle_factor, ring.factors))
     return ring
+
+
+def oracle_injections(factors) -> list[dict[str, str]]:
+    """The iterated binary injections into the oracle, composed, as label
+    maps: a label of factor k goes to the labels of the earlier products,
+    each tensored on the right with the next factor's unit."""
+    maps = [{label: label for label in factors[0].labels}]
+    unit = factors[0].unit_label
+    for factor in factors[1:]:
+        maps = [{a: f"{image}{TENSOR_SEPARATOR}{factor.unit_label}" for a, image in m.items()} for m in maps]
+        maps.append({b: f"{unit}{TENSOR_SEPARATOR}{b}" for b in factor.labels})
+        unit = f"{unit}{TENSOR_SEPARATOR}{factor.unit_label}"
+    return maps
 
 
 CASES = {
     "four-by-four": four_by_four,
     "mod2-odd-degrees": mod2_odd_degrees,
     "tensor-of-tensor": tensor_of_tensor,
+    "three-mod2-odd-degrees": three_mod2_odd_degrees,
+    "three-integer": three_integer,
 }
 
 
 @pytest.fixture(params=sorted(CASES))
 def case(request):
-    left, right = CASES[request.param]()
-    product, _, _ = kunneth_product(left, right)
-    oracle = materialized_kunneth(oracle_factor(left), oracle_factor(right))
+    factors = CASES[request.param]()
+    product, *_ = kunneth_product(*factors)
+    oracle = functools.reduce(materialized_kunneth, map(oracle_factor, factors))
     return product, oracle
 
 
@@ -158,16 +192,33 @@ def test_serialize_matches_the_table_and_round_trips(case):
 def test_tensor_component_reads_the_factors(case):
     product, oracle = case
     everything = product.element({label: 1 for label in product.labels})
-    left, right = product.left, product.right
+    factors = product.factors
     pieces = product.zero()
-    for dl, dr in itertools.product(left.basis_by_degree, right.basis_by_degree):
-        piece = tensor_component(everything, dl, dr)
-        pairs = len(left.basis_by_degree[dl]) * len(right.basis_by_degree[dr])
-        assert len(piece.coeffs) == pairs
+    for degrees in itertools.product(*(f.basis_by_degree for f in factors)):
+        piece = tensor_component(everything, *degrees)
+        tuples = math.prod(len(f.basis_by_degree[d]) for f, d in zip(factors, degrees))
+        assert len(piece.coeffs) == tuples
         pieces = pieces + piece
     assert pieces == everything
     with pytest.raises(PresentationError):
-        tensor_component(oracle.unit(), 0, 0)
+        tensor_component(oracle.unit(), *[0] * len(factors))
+    for count in (len(factors) - 1, len(factors) + 1):
+        with pytest.raises(PresentationError, match="factors"):
+            tensor_component(everything, *[0] * count)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_injections_match_the_composed_oracle_injections(name):
+    factors = CASES[name]()
+    product, *injections = kunneth_product(*factors)
+    oracle = functools.reduce(materialized_kunneth, map(oracle_factor, factors))
+    maps = oracle_injections(factors)
+    assert len(injections) == len(maps) == len(factors)
+    for factor, inject, expected in zip(factors, injections, maps):
+        assert inject.source is factor and inject.target is product
+        for label in factor.labels:
+            image = inject(factor.basis_element(label))
+            assert element_to_spec(image) == element_to_spec(oracle.basis_element(expected[label]))
 
 
 def test_tensor_products_have_multiple_terms():
@@ -178,3 +229,16 @@ def test_tensor_products_have_multiple_terms():
     p = product.position[a_u]
     assert len(product.basis_product(p, p)) == 2
     assert any(d % 2 for d in product.degree_of.values())
+
+
+def test_one_factor_product_keeps_an_unsorted_basis():
+    # The basis lists x2 before x and the unit last: a one-factor product
+    # keeps that order, and serializes to the ring's own document.
+    ring = ManifoldRing(
+        "integer_mod_torsion", 4, [("x2", 4), ("x", 2), ("1", 0)], {("x", "x"): {"x2": 1}}, "x2"
+    )
+    product, inject = kunneth_product(ring)
+    assert product.labels == ring.labels and product.degrees == ring.degrees
+    assert product.serialize() == ring.serialize()
+    x = ring.basis_element("x")
+    assert element_to_spec(inject(x) * inject(x)) == element_to_spec(x * x)

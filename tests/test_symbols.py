@@ -1,8 +1,14 @@
 import itertools
+import math
+import sys
+import time
 
 import pytest
 
 from jetstrata import symbols
+from jetstrata.charclass import CharClassError, VirtualBundle, porteous_pontrjagin, porteous_sw
+from jetstrata.filtration import FiltrationError, StageOutOfRange, build_run, next_index, product_obstruction
+from jetstrata.gring import truncated_polynomial_ring
 from jetstrata.symbols import (
     INFINITE_ORDER,
     BoardmanSymbol,
@@ -197,3 +203,68 @@ def test_parse_order():
     assert symbols.parse_order(3) == 3
     with pytest.raises(SymbolError):
         symbols.parse_order(0)
+
+
+def test_jet_fiber_dim_matches_the_binomial_up_to_the_digit_limit():
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    for n, p, k in [(7, 3, 5), (5, 3, 7), (3000, 2, 3000), (10, 10**4000, 10), (1, 1, 10**30)]:
+        expected = p * (math.comb(n + k, n) - 1)
+        assert expected < 10**limit
+        assert jet_fiber_dim(JetContext(n, p, k)) == expected
+    # Just past the limit: the jet dimension times a p one larger.
+    c = math.comb(20, 10) - 1
+    p = 10**limit // c
+    assert jet_fiber_dim(JetContext(10, p, 10)) == p * c
+    with pytest.raises(SymbolError, match=f"more than {limit} digits"):
+        jet_fiber_dim(JetContext(10, p + 1, 10))
+
+
+@pytest.mark.parametrize("n, k", [(10**4, 10**4), (10**6, 10**6), (10**12, 10**12), (2, 10**4000)])
+def test_jet_fiber_dim_refuses_an_unprintable_value_quickly(n, k):
+    start = time.perf_counter()
+    with pytest.raises(SymbolError, match="digits"):
+        jet_fiber_dim(JetContext(n, 10**6, k))
+    assert time.perf_counter() - start < 1.0
+
+
+def _product_run():
+    ring = truncated_polynomial_ring("integer_mod_torsion", 32, [("t", 4)])
+    bundle = VirtualBundle(ring.element({"1": 1, "t": 1, "t^2": 1}), ring.unit())
+    return build_run(0, [8, 9], [bundle])
+
+
+def _mod2_bundle():
+    ring = truncated_polynomial_ring("mod2", 4, [("w", 1)])
+    return VirtualBundle(ring.element({"1": 1, "w": 1}), ring.unit())
+
+
+def _integer_bundle():
+    ring = truncated_polynomial_ring("integer_mod_torsion", 8, [("t", 4)])
+    return VirtualBundle(ring.element({"1": 1, "t": 1}), ring.unit())
+
+
+# Each integer argument in its bool form: ``True`` is not the number 1.
+BOOL_ARGUMENTS = {
+    "JetContext n": (lambda: JetContext(True, 3, 3), SymbolError, "source dimension"),
+    "JetContext p": (lambda: JetContext(3, True, 3), SymbolError, "target dimension"),
+    "JetContext k": (lambda: JetContext(3, 3, True), SymbolError, "jet order"),
+    "JetContext all": (lambda: JetContext(True, True, True), SymbolError, "source dimension"),
+    "BoardmanSymbol entry": (lambda: BoardmanSymbol((True,)), SymbolError, "entries"),
+    "BoardmanSymbol tail": (lambda: BoardmanSymbol((2, False)), SymbolError, "entries"),
+    "parse_order": (lambda: symbols.parse_order(True), SymbolError, "jet order"),
+    "first_order_codim": (lambda: first_order_codim(True, JetContext(3, 3)), SymbolError, "kernel rank"),
+    "porteous_sw": (lambda: porteous_sw(True, JetContext(3, 3, 9), _mod2_bundle()), CharClassError, "stratum index"),
+    "porteous_pontrjagin": (
+        lambda: porteous_pontrjagin(True, JetContext(4, 4, 9), _integer_bundle()), CharClassError, "stratum index"
+    ),
+    "product_obstruction": (lambda: product_obstruction(_product_run(), False), StageOutOfRange, "stage False"),
+    "next_index": (lambda: next_index(True), FiltrationError, "budget"),
+    "element power": (lambda: _integer_bundle().ring.basis_element("t") ** True, ValueError, "exponent"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOL_ARGUMENTS))
+def test_bools_are_not_integer_arguments(name):
+    call, error, named = BOOL_ARGUMENTS[name]
+    with pytest.raises(error, match=named):
+        call()
