@@ -198,9 +198,18 @@ def det_graded(
     return current.get((1 << size) - 1, owner.zero())
 
 
+#: Largest class matrix a determinant class expands; a larger one is refused
+#: before any class is computed.  The expansion takes r * 2^(r-1) products,
+#: so the cost doubles with each row.  The tests and the benchmark use sizes
+#: up to 12.
+MAX_MATRIX_SIZE = 16
+
+
 def _class_matrix(
     bundle: VirtualBundle, center: int, size: int
 ) -> tuple[tuple[GradedElement, ...], ...]:
+    if size > MAX_MATRIX_SIZE:
+        raise CharClassError(f"matrix size {size} exceeds the cap MAX_MATRIX_SIZE = {MAX_MATRIX_SIZE}")
     classes: dict[int, GradedElement] = {}
 
     def entry(index: int) -> GradedElement:

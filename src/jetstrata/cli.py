@@ -28,12 +28,10 @@ def _load_json(path: str):
             ) from None
 
 
-def _load_ring(path: str) -> gring.ManifoldRing:
-    return gring.make_ring(_load_json(path))
-
-
-def _load_bundle(path: str, ring: gring.ManifoldRing) -> charclass.VirtualBundle:
-    return charclass.bundle_from_spec(ring, _load_json(path))
+def _load_bundle(args) -> tuple[charclass.VirtualBundle, dict]:
+    """The bundle of ``--ring`` and ``--bundle``, and both echoed in canonical form."""
+    bundle = charclass.bundle_from_spec(gring.make_ring(_load_json(args.ring)), _load_json(args.bundle))
+    return bundle, {"ring": bundle.ring.serialize(), "bundle": charclass.bundle_to_spec(bundle)}
 
 
 def _report(command: str, inputs: dict, intermediates: dict, verdict, citations: list[str]) -> dict:
@@ -86,10 +84,8 @@ def _jet_order_value(k) -> int | str:
 
 
 def _run_codim(args) -> dict:
-    entries = tuple(int(part) for part in args.symbol.split(","))
-    k = symbols.parse_order(args.k)
-    ctx = symbols.JetContext(args.n, args.p, k)
-    symbol = symbols.validate_symbol(entries, ctx)
+    ctx = symbols.JetContext(args.n, args.p, symbols.parse_order(args.k))
+    symbol = symbols.validate_symbol(args.symbol, ctx)
     bound = symbols.codim_lower_bound(symbol, ctx)
     first = symbols.first_order_codim(symbol.entries[0], ctx)
     intermediates = {
@@ -116,25 +112,15 @@ def _run_codim(args) -> dict:
 
 
 def _run_porteous(args) -> dict:
-    ring = _load_ring(args.ring)
-    bundle = _load_bundle(args.bundle, ring)
-    k = symbols.parse_order(args.k)
-    ctx = symbols.JetContext(args.n, args.p, k)
+    bundle, inputs = _load_bundle(args)
+    ctx = symbols.JetContext(args.n, args.p, symbols.parse_order(args.k))
     if args.variant == "sw":
         obstruction = charclass.porteous_sw(args.i, ctx, bundle)
         citations = ["stiefel-whitney-determinant-class"]
     else:
         obstruction = charclass.porteous_pontrjagin(args.i, ctx, bundle)
         citations = ["pontrjagin-determinant-class"]
-    inputs = {
-        "ring": ring.serialize(),
-        "bundle": charclass.bundle_to_spec(bundle),
-        "variant": args.variant,
-        "i": args.i,
-        "n": ctx.n,
-        "p": ctx.p,
-        "k": _jet_order_value(ctx.k),
-    }
+    inputs.update(variant=args.variant, i=args.i, n=ctx.n, p=ctx.p, k=_jet_order_value(ctx.k))
     intermediates = {
         "matrixSize": len(obstruction.matrix),
         "matrix": [[gring.element_to_spec(e) for e in row] for row in obstruction.matrix],
@@ -150,14 +136,9 @@ def _run_porteous(args) -> dict:
 
 
 def _run_wtable(args) -> dict:
-    ring = _load_ring(args.ring)
-    bundle = _load_bundle(args.bundle, ring)
+    bundle, inputs = _load_bundle(args)
     obstruction = charclass.w_table_polynomial(args.p, bundle)
-    inputs = {
-        "ring": ring.serialize(),
-        "bundle": charclass.bundle_to_spec(bundle),
-        "p": args.p,
-    }
+    inputs["p"] = args.p
     intermediates = {"obstruction": _obstruction_dict(obstruction)}
     citations = [
         "self-map-table-vanishing-5-7" if args.p in (5, 6, 7) else "self-map-table-dimension-8"
@@ -188,20 +169,11 @@ def _run_criteria(args) -> dict:
 
 
 def _run_verdict(args) -> dict:
-    ring = _load_ring(args.ring)
-    bundle = _load_bundle(args.bundle, ring)
+    bundle, inputs = _load_bundle(args)
     k = symbols.parse_order(args.k)
-    dims = (ring.top_dim, args.target_dim)
+    dims = (bundle.ring.top_dim, args.target_dim)
     report = criteria.nonexistence_verdict(bundle, args.i, args.l, k, dims, route=args.route)
-    inputs = {
-        "ring": ring.serialize(),
-        "bundle": charclass.bundle_to_spec(bundle),
-        "i": args.i,
-        "l": args.l,
-        "k": _jet_order_value(k),
-        "dims": list(dims),
-        "route": args.route,
-    }
+    inputs.update(i=args.i, l=args.l, k=_jet_order_value(k), dims=list(dims), route=args.route)
     intermediates = {
         "route": report.route,
         "criterion": _criterion_dict(report.criterion),
@@ -267,15 +239,11 @@ def _run_filtration(args) -> dict:
     )
 
 
-def _run_selfcheck(_args) -> int:
+def _run_selfcheck() -> int:
     results = selfcheck.run_selfcheck()
-    failed = 0
     for result in results:
-        if result.passed:
-            sys.stdout.write(f"ok {result.name}\n")
-        else:
-            failed += 1
-            sys.stdout.write(f"FAIL {result.name}: {result.detail}\n")
+        sys.stdout.write(f"ok {result.name}\n" if result.passed else f"FAIL {result.name}: {result.detail}\n")
+    failed = sum(not result.passed for result in results)
     sys.stdout.write(f"passed {len(results) - failed} failed {failed}\n")
     return 1 if failed else 0
 
@@ -289,81 +257,76 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact obstruction calculator for jet-space singularity strata.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options several subcommands share, each declared once; a parent holds
+    # options only and has no parents of its own.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the report to this file instead of stdout")
+    dims = argparse.ArgumentParser(add_help=False)
+    dims.add_argument("--n", type=symbols.parse_integer, required=True)
+    dims.add_argument("--p", type=symbols.parse_integer, required=True)
+    documents = argparse.ArgumentParser(add_help=False)
+    documents.add_argument("--ring", required=True, help="ring presentation JSON file")
+    documents.add_argument("--bundle", required=True, help="bundle presentation JSON file")
 
-    codim = sub.add_parser("codim", help="codimension lower bound of a symbol")
-    codim.add_argument("--symbol", required=True, help="comma-separated entries, e.g. 2,1,0")
-    codim.add_argument("--n", type=int, required=True)
-    codim.add_argument("--p", type=int, required=True)
+    codim = sub.add_parser("codim", parents=[dims, out], help="codimension lower bound of a symbol")
+    codim.add_argument(
+        "--symbol", type=symbols.parse_symbol, required=True, help="comma-separated entries, e.g. 2,1,0"
+    )
     codim.add_argument("--k", default="inf", help="jet order (integer or inf)")
-    codim.add_argument("--out")
     codim.set_defaults(handler=_run_codim)
 
-    porteous = sub.add_parser("porteous", help="determinant obstruction class")
+    porteous = sub.add_parser("porteous", parents=[documents, dims, out], help="determinant obstruction class")
     porteous.add_argument("--variant", choices=["sw", "pontrjagin"], required=True)
-    porteous.add_argument("--ring", required=True, help="ring presentation JSON file")
-    porteous.add_argument("--bundle", required=True, help="bundle presentation JSON file")
-    porteous.add_argument("--i", type=int, required=True)
-    porteous.add_argument("--n", type=int, required=True)
-    porteous.add_argument("--p", type=int, required=True)
+    porteous.add_argument("--i", type=symbols.parse_integer, required=True)
     porteous.add_argument("--k", default="inf")
-    porteous.add_argument("--out")
     porteous.set_defaults(handler=_run_porteous)
 
-    wtable = sub.add_parser("wtable", help="tabulated self-map obstruction, dimensions 5..8")
-    wtable.add_argument("--p", type=int, required=True)
-    wtable.add_argument("--ring", required=True)
-    wtable.add_argument("--bundle", required=True)
-    wtable.add_argument("--out")
+    wtable = sub.add_parser(
+        "wtable", parents=[documents, out], help="tabulated self-map obstruction, dimensions 5..8"
+    )
+    wtable.add_argument("--p", type=symbols.parse_integer, required=True)
     wtable.set_defaults(handler=_run_wtable)
 
-    crit = sub.add_parser("criteria", help="stratum inclusion criteria")
+    crit = sub.add_parser("criteria", parents=[dims, out], help="stratum inclusion criteria")
     crit.add_argument("kind", choices=["nonstable", "w", "stabilized"])
-    crit.add_argument("--n", type=int, required=True)
-    crit.add_argument("--p", type=int, required=True)
-    crit.add_argument("--i", type=int, required=True)
-    crit.add_argument("--l", type=int, default=0, help="codimension budget")
+    crit.add_argument("--i", type=symbols.parse_integer, required=True)
+    crit.add_argument("--l", type=symbols.parse_integer, default=0, help="codimension budget")
     crit.add_argument("--k", required=True)
-    crit.add_argument("--out")
     crit.set_defaults(handler=_run_criteria)
 
-    verdict = sub.add_parser("verdict", help="nonexistence verdict for a presented map")
-    verdict.add_argument("--ring", required=True)
-    verdict.add_argument("--bundle", required=True)
-    verdict.add_argument("--i", type=int, required=True)
-    verdict.add_argument("--l", type=int, required=True)
-    verdict.add_argument("--k", required=True)
-    verdict.add_argument("--target-dim", type=int, required=True, dest="target_dim")
-    verdict.add_argument(
-        "--route", choices=["auto", "sw", "pontrjagin", "wtable"], default="auto"
+    verdict = sub.add_parser(
+        "verdict", parents=[documents, out], help="nonexistence verdict for a presented map"
     )
-    verdict.add_argument("--out")
+    verdict.add_argument("--i", type=symbols.parse_integer, required=True)
+    verdict.add_argument("--l", type=symbols.parse_integer, required=True)
+    verdict.add_argument("--k", required=True)
+    verdict.add_argument("--target-dim", type=symbols.parse_integer, required=True, dest="target_dim")
+    verdict.add_argument("--route", choices=["auto", "sw", "pontrjagin", "wtable"], default="auto")
     verdict.set_defaults(handler=_run_verdict)
 
     filt = sub.add_parser("filtration", help="filtration stage arithmetic and runs")
     filt_sub = filt.add_subparsers(dest="action", required=True)
-    next_index = filt_sub.add_parser("next-index", help="smallest stage index for a budget")
-    next_index.add_argument("--l", type=int, required=True)
-    next_index.add_argument("--out")
-    next_index.set_defaults(handler=_run_filtration)
-    run = filt_sub.add_parser("run", help="build and verify a run document")
+    next_index = filt_sub.add_parser("next-index", parents=[out], help="smallest stage index for a budget")
+    next_index.add_argument("--l", type=symbols.parse_integer, required=True)
+    run = filt_sub.add_parser("run", parents=[out], help="build and verify a run document")
     run.add_argument("--spec", required=True, help="run document JSON file")
-    run.add_argument("--out")
-    run.set_defaults(handler=_run_filtration)
+    filt.set_defaults(handler=_run_filtration)
 
-    check = sub.add_parser("selfcheck", help="run the bundled invariant corpus")
-    check.set_defaults(handler=_run_selfcheck, selfcheck=True)
-
+    sub.add_parser("selfcheck", help="run the bundled invariant corpus")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        if getattr(args, "selfcheck", False):
-            return args.handler(args)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exit_:
+        # argparse exits 0 after --help and 2 on a rejected option.
+        return exit_.code
+    try:
+        if args.command == "selfcheck":
+            return _run_selfcheck()
         # Emitting fails on an unwritable --out or an integer too long to print.
-        _emit(args.handler(args), getattr(args, "out", None))
+        _emit(args.handler(args), args.out)
     except gring.ConsistencyError as error:
         sys.stderr.write(f"internal inconsistency: {error}\n")
         return 1

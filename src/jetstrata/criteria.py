@@ -150,10 +150,6 @@ class NonexistenceReport:
     obstruction: ObstructionClass | None
     notes: tuple[str, ...]
 
-    @property
-    def conclusive(self) -> bool:
-        return self.verdict == NOT_HOMOTOPIC
-
 
 def _auto_route(bundle: VirtualBundle, ell: int, dims: tuple[int, int]) -> str:
     if bundle.ring.mode is CoefficientMode.MOD2:

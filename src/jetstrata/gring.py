@@ -778,7 +778,6 @@ def truncated_polynomial_ring(
     fundamental: str | None = None,
     *,
     orientable: bool = True,
-    verify: bool = True,
 ) -> ManifoldRing:
     """Free graded-commutative ring on the given generators, truncated above
     ``top_dim``.  Basis labels are monomials like ``a``, ``a^2`` or ``a^2*b``;
@@ -834,6 +833,4 @@ def truncated_polynomial_ring(
             combined = tuple(x + y for x, y in zip(ea, eb))
             products[(la, lb)] = {label_of(combined): 1}
 
-    return ManifoldRing(
-        mode, top_dim, basis, products, fundamental, orientable=orientable, verify=verify
-    )
+    return ManifoldRing(mode, top_dim, basis, products, fundamental, orientable=orientable)

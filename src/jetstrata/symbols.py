@@ -64,14 +64,26 @@ def is_finite_order(k) -> bool:
     return not isinstance(k, _InfiniteOrder)
 
 
+def parse_integer(text: str) -> int:
+    """Integer from user input: an optional ``-`` and ASCII digits, nothing else
+    (``int`` would also take spaces, ``_``, ``+`` and non-ASCII digits)."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise SymbolError(f"expected an optional '-' followed by ASCII digits, got {text!r}")
+    return int(text)
+
+
+def parse_symbol(text: str) -> tuple[int, ...]:
+    """Symbol entries from user input: integers separated by commas."""
+    return tuple(parse_integer(part) for part in text.split(","))
+
+
 def parse_order(value) -> int | _InfiniteOrder:
     """Jet order from user input: a positive integer or the string ``inf``."""
-    if isinstance(value, _InfiniteOrder):
-        return value
+    if value == "inf":
+        return INFINITE_ORDER
     if isinstance(value, str):
-        if value == "inf":
-            return INFINITE_ORDER
-        value = int(value)
+        value = parse_integer(value)
     if not is_integer(value) or value < 1:
         raise SymbolError(f"jet order must be a positive integer or inf, got {value!r}")
     return value

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from jetstrata.charclass import (
+    MAX_MATRIX_SIZE,
+    CharClassError,
     ClassVariant,
     ModeMismatch,
     NegativeSize,
@@ -98,6 +100,8 @@ def test_det_graded_rejects_mixed_rings():
     b = four_manifold_ring()
     with pytest.raises(RingMismatch):
         det_graded([[a.unit(), a.unit()], [a.unit(), b.unit()]])
+    with pytest.raises(RingMismatch, match="given ring"):
+        det_graded([[a.unit()]], ring=b)
 
 
 def test_det_graded_matches_leibniz_oracle():
@@ -158,6 +162,22 @@ def test_porteous_sw_validation(four_ring):
     integer_bundle = zero_bundle(four_ring)
     with pytest.raises(ModeMismatch):
         porteous_sw(1, JetContext(4, 4, 9), integer_bundle)
+
+
+def test_matrix_size_cap_is_exact_for_both_classes():
+    mod2 = truncated_polynomial_ring("mod2", 8, [("w", 1)])
+    sw_bundle = VirtualBundle(mod2.element({"1": 1, "w": 1}), mod2.unit())
+    # size p-n+i = i at n = p
+    assert len(porteous_sw(MAX_MATRIX_SIZE, JetContext(4, 4), sw_bundle).matrix) == MAX_MATRIX_SIZE
+    integer = truncated_polynomial_ring("integer_mod_torsion", 8, [("t", 4)])
+    p_bundle = VirtualBundle(integer.element({"1": 1, "t": 1}), integer.unit())
+    # size v-u = i/2 at n = p
+    assert len(porteous_pontrjagin(2 * MAX_MATRIX_SIZE, JetContext(4, 4), p_bundle).matrix) == MAX_MATRIX_SIZE
+    message = f"matrix size {MAX_MATRIX_SIZE + 1} exceeds the cap MAX_MATRIX_SIZE"
+    with pytest.raises(CharClassError, match=message):
+        porteous_sw(MAX_MATRIX_SIZE + 1, JetContext(4, 4), sw_bundle)
+    with pytest.raises(CharClassError, match=message):
+        porteous_pontrjagin(2 * MAX_MATRIX_SIZE + 2, JetContext(4, 4), p_bundle)
 
 
 def test_porteous_pontrjagin_one_by_one(four_ring):

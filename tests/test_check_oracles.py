@@ -11,15 +11,19 @@ non-unit product may also be scaled by 2 or 3, which keeps it associative
 and gives single-term products with such coefficients.  One product entry or
 one map image is then perturbed, and the ring or map must be rejected exactly when
 the reference finds a failure, at the same first triple or pair.
+
+The exact rank behind the injectivity check is compared with elimination on
+fractions over Q and with the size of the row span over GF(2).
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetstrata.gring import ManifoldRing, NonAssociative, PresentationError, RingMap
+from jetstrata.gring import ManifoldRing, NonAssociative, PresentationError, RingMap, _rank
 
 # Generators and top dimension per coefficient mode; each has a degree that
 # carries several monomials, so the basis change mixes labels.
@@ -297,3 +301,58 @@ def test_unperturbed_presentations_pass_both_checks(mode):
     plain_products = plain.products()
     assert first_nonmultiplicative_pair(mode, (plain.basis(), plain_products), (twisted.basis(), products), images) is None
     RingMap(plain.ring(plain_products), ring, {label: ring.element(image) for label, image in images.items()})
+
+
+# -- the rank behind the injectivity check ------------------------------------
+
+
+def rational_rank(rows):
+    """Rank over Q: Gauss-Jordan elimination with exact fractions."""
+    matrix = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(matrix[0]) if matrix else 0):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        top = [v / matrix[rank][col] for v in matrix[rank]]
+        matrix[rank] = top
+        for r in range(len(matrix)):
+            if r != rank:
+                factor = matrix[r][col]
+                matrix[r] = [a - factor * b for a, b in zip(matrix[r], top)]
+        rank += 1
+    return rank
+
+
+def gf2_rank(rows):
+    """Rank over GF(2): the span of the rows, built by brute force, has 2^rank
+    elements."""
+    span = {0}
+    for row in rows:
+        bits = sum(1 << j for j, v in enumerate(row) if v % 2)
+        span |= {bits ^ s for s in span}
+    return len(span).bit_length() - 1
+
+
+@st.composite
+def integer_matrices(draw):
+    """Up to seven rows of one to five small integers; up to two rows are
+    integer combinations of earlier ones, so deficient ranks are common."""
+    width = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
+    rows = draw(st.lists(row, max_size=5))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c, d = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows.append([c * x + d * y for x, y in zip(a, b)])
+    return rows
+
+
+@settings(max_examples=300)
+@given(integer_matrices())
+def test_rank_agrees_with_fraction_elimination_and_the_mod_2_span(rows):
+    before = [list(row) for row in rows]
+    assert _rank(rows, mod2=False) == rational_rank(rows)
+    assert _rank(rows, mod2=True) == gf2_rank(rows)
+    assert rows == before

@@ -1,5 +1,8 @@
 import copy
+import contextlib
+import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -321,6 +324,127 @@ def test_emit_failures_exit_2_with_one_line(capsys, argv, named):
     assert err.endswith("\n") and err.count("\n") == 1
     assert named in err
     assert "Traceback" not in err
+
+
+# Each integer option of each command, with valid values for the rest.
+INTEGER_OPTIONS = {
+    "codim": (["codim", "--symbol", "1", "--n", "7", "--p", "7", "--k", "9"], ["--n", "--p"]),
+    "porteous": (
+        ["porteous", "--variant", "pontrjagin", "--ring", "@ring", "--bundle", "@bundle",
+         "--i", "2", "--n", "4", "--p", "4"],
+        ["--i", "--n", "--p"],
+    ),
+    "wtable": (["wtable", "--p", "8", "--ring", "@ring", "--bundle", "@bundle"], ["--p"]),
+    "criteria": (["criteria", "w", "--n", "8", "--p", "8", "--i", "3", "--l", "1", "--k", "18"],
+                 ["--n", "--p", "--i", "--l"]),
+    "verdict": (
+        ["verdict", "--ring", "@ring", "--bundle", "@bundle", "--i", "2", "--l", "0", "--k", "20",
+         "--target-dim", "4"],
+        ["--i", "--l", "--target-dim"],
+    ),
+    "next-index": (["filtration", "next-index", "--l", "0"], ["--l"]),
+}
+SPELLINGS = [" 7", "1_0", "+7", "٣"]
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, option) for command, (_, options) in INTEGER_OPTIONS.items() for option in options],
+)
+def test_integer_options_refuse_other_spellings(capsys, ring_file, bundle_file, command, option, spelling):
+    files = {"@ring": str(ring_file), "@bundle": str(bundle_file)}
+    argv = [files.get(a, a) for a in INTEGER_OPTIONS[command][0]]
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 0, err
+    argv[argv.index(option) + 1] = spelling
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert f"argument {option}: invalid parse_integer value: {spelling!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["codim", "--symbol", " 1_0,٣", "--n", "20", "--p", "20", "--k", " 1_0"], "argument --symbol"),
+        (["codim", "--symbol", "1", "--n", " 7", "--p", "7"], "argument --n"),
+        (["codim", "--symbol", "2,+1", "--n", "3", "--p", "3"], "argument --symbol"),
+        (["codim", "--symbol", "1", "--n", "3", "--p", "3", "--k", " 1_0"], "' 1_0'"),
+        (["criteria", "nonstable", "--n", "4", "--p", "4", "--i", "3", "--k", "+5"], "'+5'"),
+        (["criteria", "nonstable", "--n", "4", "--p", "4", "--i", "3", "--k", "0"],
+         "jet order must be a positive integer or inf"),
+    ],
+)
+def test_rejected_spellings_exit_2_naming_the_option(capsys, argv, named):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [([], 2), (["--help"], 0), (["codim", "--help"], 0), (["nonsense"], 2), (["codim"], 2),
+     (["filtration"], 2), (["criteria", "w", "--n", "1"], 2)],
+)
+def test_main_returns_the_exit_status(argv, expected):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == expected
+
+
+def test_porteous_past_the_matrix_cap_exits_2_at_once(capsys, ring_file, bundle_file):
+    start = time.perf_counter()
+    status, out, err = run_cli(
+        capsys,
+        "porteous", "--variant", "pontrjagin",
+        "--ring", str(ring_file), "--bundle", str(bundle_file),
+        "--i", "200000", "--n", "4", "--p", "4",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert status == 2
+    assert out == ""
+    assert err.startswith("CharClassError") and "MAX_MATRIX_SIZE = 16" in err
+
+
+@pytest.mark.parametrize("dim, citation", [(8, "self-map-table-dimension-8"), (6, "self-map-table-vanishing-5-7")])
+def test_verdict_on_the_table_route_cites_the_table(capsys, tmp_path, dim, citation):
+    # Odd dimensions carry no integer fundamental class, so 6 stands for 5..7.
+    basis = [{"label": "1", "degree": 0}, {"label": "a", "degree": 4}, {"label": "top", "degree": dim}]
+    ring = {"mode": "integer_mod_torsion", "topDim": dim, "basis": basis, "fundamental": "top"}
+    write_json(tmp_path / "ring.json", ring)
+    write_json(
+        tmp_path / "bundle.json",
+        {"totalPositive": [{"label": "1", "coeff": 1}, {"label": "a", "coeff": 1}],
+         "totalNegativePulled": [{"label": "1", "coeff": 1}]},
+    )
+    status, out, _ = run_cli(
+        capsys,
+        "verdict", "--ring", str(tmp_path / "ring.json"), "--bundle", str(tmp_path / "bundle.json"),
+        "--i", "2", "--l", str(dim - 1), "--k", "20", "--target-dim", str(dim),
+    )
+    assert status == 0
+    report = parse_report(out)
+    assert report["intermediates"]["route"] == "wtable"
+    assert report["citations"] == ["nonexistence-from-nonvanishing-obstruction", citation]
+    assert report["intermediates"]["obstruction"]["variant"] == "wtable"
+
+
+def test_verdict_without_an_orientation_reports_no_obstruction(capsys, tmp_path, bundle_file):
+    write_json(tmp_path / "ring.json", {**FOUR_MANIFOLD_SPEC, "orientable": False})
+    status, out, _ = run_cli(
+        capsys,
+        "verdict", "--ring", str(tmp_path / "ring.json"), "--bundle", str(bundle_file),
+        "--i", "2", "--l", "0", "--k", "20", "--target-dim", "4",
+    )
+    assert status == 0
+    report = parse_report(out)
+    assert report["verdict"] == "Inconclusive"
+    assert report["intermediates"]["route"] == "pontrjagin"
+    assert report["intermediates"]["obstruction"] is None
+    assert any("orientation" in note for note in report["intermediates"]["notes"])
 
 
 def test_missing_input_file_exits_2(capsys, bundle_file):

@@ -2,8 +2,8 @@
 
 Valid ring, bundle and run documents from ``test_cli`` get one subtree
 replaced by an arbitrary JSON value, and the commands that read only options
-get arbitrary integers, malformed symbol and jet-order strings and
-unwritable report paths.  Each command must either compute a report (exit 0)
+get arbitrary integers, some spelled with spaces, ``_``, ``+`` or non-ASCII
+digits, malformed symbol and jet-order strings and unwritable report paths.  Each command must either compute a report (exit 0)
 or name a violated invariant (exit 2): never a traceback, never output that
 is not JSON, and never unbounded time.
 """
@@ -13,6 +13,7 @@ import io
 import json
 import time
 
+import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from jetstrata import cli
@@ -116,10 +117,29 @@ INTEGERS = (
     | st.integers(-(10**40), 10**40)
     | st.integers(10**4, 10**400)
 )
-_TEXT = st.text(alphabet="0123456789,-+ _.einfx", max_size=12)
-SYMBOLS = st.lists(st.integers(-2, 12), min_size=1, max_size=5).map(lambda es: ",".join(map(str, es))) | _TEXT
-ORDERS = st.sampled_from(["inf", "Inf", "", "0", "-3", "1e3", "2.5", "1_0", " 7"]) | INTEGERS.map(str) | _TEXT
+# Spellings Python's int() reads but the integer grammar refuses: padding,
+# a separator, a plus sign, or digits of another script (Arabic-Indic).
+# The plain spelling is drawn most often, so that most commands still compute.
+_SPELLINGS = [lambda text: text] * 16 + [
+    lambda text: f" {text}",
+    lambda text: f"{text}\t",
+    lambda text: text[:-1] + "_" + text[-1:],
+    lambda text: "+" + text,
+    lambda text: text.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+]
+
+
+def _texts(integers):
+    """Option text of the drawn integers, in a drawn spelling."""
+    return st.builds(lambda value, spell: spell(str(value)), integers, st.sampled_from(_SPELLINGS))
+
+
+INTEGER_TEXTS = _texts(INTEGERS)
+_TEXT = st.text(alphabet="0123456789,-+ _.einfx٣", max_size=12)
+SYMBOLS = st.lists(_texts(st.integers(-2, 12)), min_size=1, max_size=5).map(",".join) | _TEXT
+ORDERS = st.sampled_from(["inf", "Inf", "", "0", "-3", "1e3", "2.5", "1_0", " 7"]) | INTEGER_TEXTS | _TEXT
 UNWRITABLE = "/nonexistent/dir/report.json"
+INTEGER_OPTIONS = {"i", "n", "p", "l", "target-dim"}
 
 
 def _option(name, value):
@@ -130,26 +150,43 @@ def _option(name, value):
 @st.composite
 def option_commands(draw):
     command = draw(st.sampled_from(["codim", "criteria nonstable", "criteria w", "criteria stabilized",
-                                    "filtration next-index"]))
-    if command == "codim":
-        argv = ["codim", _option("symbol", draw(SYMBOLS)), _option("n", draw(INTEGERS)),
-                _option("p", draw(INTEGERS))]
+                                    "filtration next-index", "porteous", "wtable", "verdict"]))
+    if command in COMMANDS:
+        # The document commands of the fuzz above, each integer option drawn.
+        argv, rest = [], iter(COMMANDS[command][1])
+        for arg in rest:
+            if arg.startswith("--") and arg[2:] in INTEGER_OPTIONS:
+                next(rest)  # the fixed value
+                arg = _option(arg[2:], draw(INTEGER_TEXTS))
+            argv.append(arg)
+    elif command == "codim":
+        argv = ["codim", _option("symbol", draw(SYMBOLS)), _option("n", draw(INTEGER_TEXTS)),
+                _option("p", draw(INTEGER_TEXTS))]
         if draw(st.booleans()):
             argv.append(_option("k", draw(ORDERS)))
     elif command.startswith("criteria"):
-        argv = [*command.split(), *(_option(name, draw(INTEGERS)) for name in ("n", "p", "i")),
+        argv = [*command.split(), *(_option(name, draw(INTEGER_TEXTS)) for name in ("n", "p", "i")),
                 _option("k", draw(ORDERS))]
         if command != "criteria nonstable":
-            argv.append(_option("l", draw(INTEGERS)))
+            argv.append(_option("l", draw(INTEGER_TEXTS)))
     else:
-        argv = ["filtration", "next-index", _option("l", draw(INTEGERS))]
+        argv = ["filtration", "next-index", _option("l", draw(INTEGER_TEXTS))]
     if draw(st.integers(0, 3)) == 0:
         argv.append(_option("out", UNWRITABLE))
     return command, argv
 
 
+@pytest.fixture(scope="module")
+def documents_directory(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("documents")
+    for name, document in _documents.items():
+        (directory / f"{name}.json").write_text(json.dumps(document), encoding="utf-8")
+    return directory
+
+
 @settings(max_examples=300)
-@given(option_commands())
-def test_option_commands_exit_0_or_2_with_a_json_report(drawn):
+@given(drawn=option_commands())
+def test_option_commands_exit_0_or_2_with_a_json_report(documents_directory, drawn):
     command, argv = drawn
+    argv = [str(documents_directory / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
     _assert_contract(command, argv)

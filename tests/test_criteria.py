@@ -310,6 +310,26 @@ def test_verdict_mode_checks():
         nonexistence_verdict(bundle, 2, 0, 9, (4, 4), route=criteria.ROUTE_PONTRJAGIN)
 
 
+# (mode, dims, budget, explicit route, error, message) for routes that do not
+# fit the ring or the question.
+UNFITTING_ROUTES = {
+    "table on mod 2": ("mod2", (8, 8), 7, "wtable", ModeMismatch, "integer-mode only"),
+    "table not a self-map": ("integer_mod_torsion", (8, 9), 7, "wtable", BadInput, "self-map"),
+    "table off budget": ("integer_mod_torsion", (8, 8), 6, "wtable", BadInput, "budget one below"),
+    "sw on integers": ("integer_mod_torsion", (8, 8), 0, "sw", ModeMismatch, "mod-2 route"),
+    "unknown route": ("mod2", (8, 8), 0, "chern", BadInput, "unknown route 'chern'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNFITTING_ROUTES))
+def test_verdict_refuses_a_route_that_does_not_fit(name):
+    mode, dims, ell, route, error, message = UNFITTING_ROUTES[name]
+    ring = truncated_polynomial_ring(mode, 8, [("t", 4)])
+    bundle = VirtualBundle(ring.unit(), ring.unit())
+    with pytest.raises(error, match=message):
+        nonexistence_verdict(bundle, 2, ell, 20, dims, route=route)
+
+
 def test_verdict_sw_route():
     ring = truncated_polynomial_ring("mod2", 9, [("w", 1)])
     total = ring.unit()

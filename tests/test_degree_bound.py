@@ -30,7 +30,6 @@ def rings(draw):
         top_dim,
         generators,
         fundamental=fundamental,
-        verify=False,
     )
 
 

@@ -131,6 +131,35 @@ def test_bounded_triples_match_filtered_brute_force():
         assert triples == bounded
 
 
+# (mode, basis, products, expected message) of presentations the ring refuses.
+_XY = [("1", 0), ("x", 2), ("y", 2), ("z", 4)]
+REFUSED_PRESENTATIONS = {
+    "unknown mode": ("integer", _XY, {}, "unknown coefficient mode"),
+    "duplicate label": ("mod2", [("1", 0), ("x", 2), ("x", 2), ("z", 4)], {}, "duplicate basis label 'x'"),
+    "unknown factor": ("mod2", _XY, {("x", "w"): {"z": 1}}, "names unknown label 'w'"),
+    "unknown target": ("mod2", _XY, {("x", "y"): {"w": 1}}, "targets unknown label 'w'"),
+    "conflicting pair": (
+        "integer_mod_torsion", _XY, {("x", "y"): {"z": 1}, ("y", "x"): {"z": 2}}, "conflicting product entries"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_PRESENTATIONS))
+def test_inconsistent_presentations_are_refused(name):
+    mode, basis, products, message = REFUSED_PRESENTATIONS[name]
+    with pytest.raises(PresentationError, match=message):
+        ManifoldRing(mode, 4, basis, products, "z")
+
+
+def test_explicit_unit_products_are_accepted_and_not_stored():
+    products = {("1", "x"): {"x": 1}, ("y", "1"): {"y": 1}, ("x", "y"): {"z": 1}, ("y", "x"): {"z": 1}}
+    ring = ManifoldRing("integer_mod_torsion", 4, _XY, products, "z")
+    plain = ManifoldRing("integer_mod_torsion", 4, _XY, {("x", "y"): {"z": 1}}, "z")
+    assert ring.serialize() == plain.serialize()
+    assert list(ring._table) == [(ring.position["x"], ring.position["y"])]
+    assert ring.basis_element("x") * ring.basis_element("y") == ring.basis_element("z")
+
+
 def test_missing_fundamental():
     with pytest.raises(MissingFundamental):
         ManifoldRing("integer_mod_torsion", 4, [("1", 0), ("x", 2)], {}, None)

@@ -205,6 +205,31 @@ def test_parse_order():
         symbols.parse_order(0)
 
 
+# Spellings ``int`` reads as an integer but the input grammar refuses.
+NOT_INTEGERS = [" 7", "7 ", "\t7", "1_0", "+7", "٣", "7٣", "²", "", "-", "--7", "- 7", "7.0", "1e3", "0x7"]
+
+
+def test_parse_integer_reads_an_optional_minus_and_ascii_digits():
+    assert [symbols.parse_integer(t) for t in ("0", "7", "-7", "007", "-0", str(10**400))] == [
+        0, 7, -7, 7, 0, 10**400
+    ]
+
+
+@pytest.mark.parametrize("text", NOT_INTEGERS)
+def test_parse_integer_refuses_other_spellings(text):
+    with pytest.raises(SymbolError, match="ASCII digits"):
+        symbols.parse_integer(text)
+    with pytest.raises(SymbolError, match="ASCII digits"):
+        symbols.parse_order(text)
+    with pytest.raises(SymbolError, match="ASCII digits"):
+        symbols.parse_symbol(f"2,{text}")
+
+
+def test_parse_symbol_splits_on_commas():
+    assert symbols.parse_symbol("2,1,0") == (2, 1, 0)
+    assert symbols.parse_symbol("-1") == (-1,)
+
+
 def test_jet_fiber_dim_matches_the_binomial_up_to_the_digit_limit():
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     for n, p, k in [(7, 3, 5), (5, 3, 7), (3000, 2, 3000), (10, 10**4000, 10), (1, 1, 10**30)]:
