@@ -66,6 +66,8 @@ class VirtualBundle:
     case all class components must sit in degrees divisible by 4.
     """
 
+    __slots__ = ("ring", "total_positive", "total_negative_pulled")
+
     def __init__(self, total_positive: GradedElement, total_negative_pulled: GradedElement):
         ring = total_positive.ring
         if total_negative_pulled.ring is not ring:
@@ -84,9 +86,6 @@ class VirtualBundle:
         self.ring = ring
         self.total_positive = total_positive
         self.total_negative_pulled = total_negative_pulled
-        # (degree the cached total is exact through, the total); one
-        # attribute, so a reader never pairs a value with another's degree.
-        self._virtual_cache = (-1, ring.zero())
 
     @property
     def variant(self) -> ClassVariant:
@@ -95,22 +94,29 @@ class VirtualBundle:
         return ClassVariant.PONTRJAGIN
 
     def virtual_total(self, through: int | None = None) -> GradedElement:
-        """Total class of the difference bundle, exact in every degree up to
-        ``through`` (all degrees when None) and zero above the degree it is
-        exact through.
+        """Total class of the difference bundle through degree ``through``
+        (all degrees when None), zero above it.
 
-        The value is cached with that degree and recomputed only when a
-        caller asks for a higher one.  Parts above the bound are dropped from
-        both factors first: the degree-d part of a product depends only on
-        the factors' parts of degree <= d.
+        Parts above the bound are dropped from both factors first: the
+        degree-d part of a product depends only on the factors' parts of
+        degree <= d.
         """
         bound = self.ring.top_dim if through is None else min(through, self.ring.top_dim)
-        exact_through, total = self._virtual_cache
-        if exact_through < bound:
-            inverse = invert_total_class(self.total_negative_pulled, bound)
-            total = (self.total_positive.truncated(bound) * inverse).truncated(bound)
-            self._virtual_cache = (bound, total)
-        return total
+        inverse = invert_total_class(self.total_negative_pulled, bound)
+        return (self.total_positive.truncated(bound) * inverse).truncated(bound)
+
+
+def _class_degree(bundle: VirtualBundle, j: int) -> int:
+    return j if bundle.variant is ClassVariant.STIEFEL_WHITNEY else 4 * j
+
+
+def _classes(bundle: VirtualBundle, indices) -> dict[int, GradedElement]:
+    """The classes of the given indices, read off one total computed through
+    the degree of the highest.  Degree 0 of a total is the unit and no part
+    sits in a negative degree, so index 0 reads the unit and a negative index
+    zero."""
+    total = bundle.virtual_total(_class_degree(bundle, max((0, *indices))))
+    return {j: total.component(_class_degree(bundle, j)) for j in indices}
 
 
 def class_of_virtual(bundle: VirtualBundle, j: int) -> GradedElement:
@@ -118,12 +124,7 @@ def class_of_virtual(bundle: VirtualBundle, j: int) -> GradedElement:
 
     j = 0 gives the unit, negative j gives zero.
     """
-    if j < 0:
-        return bundle.ring.zero()
-    if j == 0:
-        return bundle.ring.unit()
-    degree = j if bundle.variant is ClassVariant.STIEFEL_WHITNEY else 4 * j
-    return bundle.virtual_total(degree).component(degree)
+    return _classes(bundle, [j])[j]
 
 
 @dataclass(frozen=True)
@@ -205,22 +206,18 @@ def det_graded(
 MAX_MATRIX_SIZE = 16
 
 
-def _class_matrix(
-    bundle: VirtualBundle, center: int, size: int
-) -> tuple[tuple[GradedElement, ...], ...]:
+def _porteous(bundle: VirtualBundle, i: int, center: int, size: int, formula: str) -> ObstructionClass:
+    """Determinant of the size-square matrix whose (s, t) entry is the class
+    of index center+s-t, homogeneous of size times the degree of ``center``.
+    Only the 2*size-1 indices the matrix holds are read."""
+    if size < 0:
+        raise NegativeSize(f"matrix size {formula} = {size} is negative")
     if size > MAX_MATRIX_SIZE:
         raise CharClassError(f"matrix size {size} exceeds the cap MAX_MATRIX_SIZE = {MAX_MATRIX_SIZE}")
-    classes: dict[int, GradedElement] = {}
-
-    def entry(index: int) -> GradedElement:
-        if index not in classes:
-            classes[index] = class_of_virtual(bundle, index)
-        return classes[index]
-
-    # The highest index first, so the bundle's total is computed once, through
-    # the highest degree any entry reads.
-    entry(center + size - 1)
-    return tuple(tuple(entry(center + s - t) for t in range(size)) for s in range(size))
+    classes = _classes(bundle, range(center - size + 1, center + size))
+    matrix = tuple(tuple(classes[center + s - t] for t in range(size)) for s in range(size))
+    value = det_graded(matrix, ring=bundle.ring)
+    return ObstructionClass(value, i, size * _class_degree(bundle, center), bundle.variant, matrix)
 
 
 def porteous_sw(i: int, ctx: JetContext, bundle: VirtualBundle) -> ObstructionClass:
@@ -232,12 +229,7 @@ def porteous_sw(i: int, ctx: JetContext, bundle: VirtualBundle) -> ObstructionCl
         raise ModeMismatch("mod-2 determinant class needs a mod-2 bundle")
     if not is_integer(i) or i < 1:
         raise CharClassError(f"stratum index must be a positive integer, got {i!r}")
-    size = ctx.p - ctx.n + i
-    if size < 0:
-        raise NegativeSize(f"matrix size p-n+i = {size} is negative")
-    matrix = _class_matrix(bundle, i, size)
-    value = det_graded(matrix, ring=bundle.ring)
-    return ObstructionClass(value, i, size * i, ClassVariant.STIEFEL_WHITNEY, matrix)
+    return _porteous(bundle, i, i, ctx.p - ctx.n + i, "p-n+i")
 
 
 def porteous_pontrjagin(i: int, ctx: JetContext, bundle: VirtualBundle) -> ObstructionClass:
@@ -253,14 +245,7 @@ def porteous_pontrjagin(i: int, ctx: JetContext, bundle: VirtualBundle) -> Obstr
         raise ParityError(
             f"integer determinant class needs n-p and i even, got n-p={ctx.n - ctx.p}, i={i}"
         )
-    u = (ctx.n - ctx.p) // 2
-    v = i // 2
-    size = v - u
-    if size < 0:
-        raise NegativeSize(f"matrix size v-u = {size} is negative")
-    matrix = _class_matrix(bundle, v, size)
-    value = det_graded(matrix, ring=bundle.ring)
-    return ObstructionClass(value, i, 4 * v * size, ClassVariant.PONTRJAGIN, matrix)
+    return _porteous(bundle, i, i // 2, i // 2 - (ctx.n - ctx.p) // 2, "v-u")
 
 
 #: Integer obstruction polynomials of the full bounded-codimension stratum for
@@ -281,10 +266,8 @@ def w_table_polynomial(p: int, bundle: VirtualBundle) -> ObstructionClass:
     if p in (5, 6, 7):
         value = bundle.ring.zero()
     else:
-        # The higher class first, so the total is computed once, through degree 8.
-        second = class_of_virtual(bundle, 2)
-        first = class_of_virtual(bundle, 1)
-        value = 9 * second + 3 * (first * first)
+        classes = _classes(bundle, (1, 2))
+        value = 9 * classes[2] + 3 * (classes[1] * classes[1])
     return ObstructionClass(value, p, p, ClassVariant.W_TABLE)
 
 

@@ -151,13 +151,16 @@ class NonexistenceReport:
     notes: tuple[str, ...]
 
 
+def _table_fits(ell: int, dims: tuple[int, int]) -> bool:
+    """Self-map of a 5..8-manifold at the budget one below the dimension."""
+    dim_m, dim_q = dims
+    return dim_m == dim_q and dim_m in W_TABLE_DIMENSIONS and ell == dim_m - 1
+
+
 def _auto_route(bundle: VirtualBundle, ell: int, dims: tuple[int, int]) -> str:
     if bundle.ring.mode is CoefficientMode.MOD2:
         return ROUTE_SW
-    dim_m, dim_q = dims
-    if dim_m == dim_q and dim_m in W_TABLE_DIMENSIONS and ell == dim_m - 1:
-        return ROUTE_W_TABLE
-    return ROUTE_PONTRJAGIN
+    return ROUTE_W_TABLE if _table_fits(ell, dims) else ROUTE_PONTRJAGIN
 
 
 def nonexistence_verdict(
@@ -190,7 +193,7 @@ def nonexistence_verdict(
     if route == ROUTE_W_TABLE:
         if bundle.ring.mode is not CoefficientMode.INTEGER_MOD_TORSION:
             raise ModeMismatch("the table route is integer-mode only")
-        if dim_m != dim_q or dim_m not in W_TABLE_DIMENSIONS or ell != dim_m - 1:
+        if not _table_fits(ell, dims):
             raise BadInput(
                 "table route needs a self-map of a 5..8-manifold with budget one below "
                 "the dimension"

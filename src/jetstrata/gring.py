@@ -632,6 +632,11 @@ class TensorRing(ManifoldRing):
                     yield (i, j), packed
 
 
+#: Largest tensor product basis, checked as the product of the factor sizes
+#: before any list is built.  The tests and the benchmark use up to 31,977.
+MAX_PRODUCT_BASIS = 100_000
+
+
 def kunneth_product(*factors: ManifoldRing) -> tuple:
     """``ring, inject_0, ..., inject_d = kunneth_product(P_0, ..., P_d)``: the
     tensor ring of one or more rings and the factor injections.
@@ -646,6 +651,9 @@ def kunneth_product(*factors: ManifoldRing) -> tuple:
         raise PresentationError("a tensor product needs at least one factor")
     if any(f.mode is not factors[0].mode for f in factors):
         raise ModeMismatch("tensor factors must share a coefficient mode")
+    size = math.prod(len(f.degrees) for f in factors)
+    if size > MAX_PRODUCT_BASIS:
+        raise PresentationError(f"tensor product basis of {size} labels exceeds the cap MAX_PRODUCT_BASIS = {MAX_PRODUCT_BASIS}")
     basis = [(d, (a,)) for a, d in enumerate(factors[0].degrees)]  # (degree, factor positions)
     for factor in factors[1:]:
         pairs = sorted(itertools.product(basis, enumerate(factor.degrees)), key=lambda p: (p[0][0] + p[1][1], p[0][0]))

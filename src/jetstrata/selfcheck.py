@@ -5,6 +5,7 @@ verify itself without the test suite installed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -63,36 +64,44 @@ def _corpus_matrices(ring):
     ]
 
 
-def check_determinant_oracle(spec=None) -> CheckResult:
-    name = "determinant-vs-permutation-sum"
-    try:
-        ring = gring.make_ring(spec or CANONICAL_SURFACE_SPEC)
-        for matrix in _corpus_matrices(ring):
-            fast = charclass.det_graded(matrix, ring=ring)
-            slow = leibniz_det(matrix, ring)
-            if fast != slow:
-                return CheckResult(name, False, f"disagreement on a {len(matrix)}x{len(matrix)} matrix")
-    except ValueError as error:
-        return CheckResult(name, False, f"{type(error).__name__}: {error}")
-    return CheckResult(name, True)
+def _check(name: str):
+    """A check whose body returns None on success or a failure detail; a
+    ValueError or ConsistencyError it raises becomes a failure too."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            try:
+                detail = body(*args, **kwargs)
+            except (ValueError, gring.ConsistencyError) as error:
+                detail = f"{type(error).__name__}: {error}"
+            return CheckResult(name, detail is None, detail or "")
+
+        return check
+
+    return wrap
 
 
-def check_ring_fixture(spec=None) -> CheckResult:
-    name = "ring-fixture-invariants"
-    try:
-        ring = gring.make_ring(spec or CANONICAL_SURFACE_SPEC)
-        x = ring.basis_element("x")
-        if gring.pair_fundamental(x * x) != 1:
-            return CheckResult(name, False, "fundamental pairing of the square generator is not 1")
-        if x * x * x != ring.zero():
-            return CheckResult(name, False, "cube of the generator fails to truncate")
-    except ValueError as error:
-        return CheckResult(name, False, f"{type(error).__name__}: {error}")
-    return CheckResult(name, True)
+@_check("determinant-vs-permutation-sum")
+def check_determinant_oracle(spec=None):
+    ring = gring.make_ring(spec or CANONICAL_SURFACE_SPEC)
+    for matrix in _corpus_matrices(ring):
+        if charclass.det_graded(matrix, ring=ring) != leibniz_det(matrix, ring):
+            return f"disagreement on a {len(matrix)}x{len(matrix)} matrix"
 
 
-def check_kunneth_identities() -> CheckResult:
-    name = "tensor-ring-identities"
+@_check("ring-fixture-invariants")
+def check_ring_fixture(spec=None):
+    ring = gring.make_ring(spec or CANONICAL_SURFACE_SPEC)
+    x = ring.basis_element("x")
+    if gring.pair_fundamental(x * x) != 1:
+        return "fundamental pairing of the square generator is not 1"
+    if x * x * x != ring.zero():
+        return "cube of the generator fails to truncate"
+
+
+@_check("tensor-ring-identities")
+def check_kunneth_identities():
     left = gring.make_ring(CANONICAL_SURFACE_SPEC)
     right = gring.make_ring(CANONICAL_SURFACE_SPEC)
     product, inject_left, inject_right = gring.kunneth_product(left, right)
@@ -100,62 +109,57 @@ def check_kunneth_identities() -> CheckResult:
     b = right.basis_element("x2")
     paired = gring.pair_fundamental(inject_left(a) * inject_right(b))
     if paired != gring.pair_fundamental(a) * gring.pair_fundamental(b):
-        return CheckResult(name, False, "top-degree pairing does not factor")
+        return "top-degree pairing does not factor"
     for inject in (inject_left, inject_right):
         if not gring.is_degreewise_injective(inject):
-            return CheckResult(name, False, "factor injection loses rank in some degree")
-    return CheckResult(name, True)
+            return "factor injection loses rank in some degree"
 
 
-def check_inverse_involution() -> CheckResult:
-    name = "total-class-inverse-involution"
+@_check("total-class-inverse-involution")
+def check_inverse_involution():
     ring = gring.make_ring(CANONICAL_SURFACE_SPEC)
     for c_x, c_x2 in [(0, 0), (1, 0), (0, 3), (2, -5), (-7, 11)]:
         total = ring.element({"1": 1, "x": c_x, "x2": c_x2})
         inverse = gring.invert_total_class(total)
         if total * inverse != ring.unit():
-            return CheckResult(name, False, "total times inverse is not 1")
+            return "total times inverse is not 1"
         if gring.invert_total_class(inverse) != total:
-            return CheckResult(name, False, "double inverse differs from the original")
-    return CheckResult(name, True)
+            return "double inverse differs from the original"
 
 
-def check_inequality_simplification() -> CheckResult:
-    name = "equal-dimension-inequality-simplification"
+@_check("equal-dimension-inequality-simplification")
+def check_inequality_simplification():
     for i in range(1, 21):
         report = criteria.w_inclusion(10, 10, i, 0, 100)
         if report.lhs != i * i * (i - 1) // 2:
-            return CheckResult(name, False, f"simplified bound wrong at i={i}")
+            return f"simplified bound wrong at i={i}"
     for i in range(1, 21):
         report = criteria.w_inclusion(4 * i * i, 4 * i * i, 2 * i, 0, 10**9)
         if report.lhs != 4 * i**3 - 2 * i**2:
-            return CheckResult(name, False, f"cubic bound wrong at i={i}")
-    return CheckResult(name, True)
+            return f"cubic bound wrong at i={i}"
 
 
-def check_whitney_consistency() -> CheckResult:
-    name = "virtual-total-consistency"
+@_check("virtual-total-consistency")
+def check_whitney_consistency():
     ring = gring.make_ring(CANONICAL_SURFACE_SPEC)
     # Only the degree-4 slot is available to integer-mode bundle totals here.
     positive = ring.element({"1": 1, "x2": 7})
     pulled = ring.element({"1": 1, "x2": 5})
     bundle = charclass.VirtualBundle(positive, pulled)
     if bundle.virtual_total() * pulled != positive:
-        return CheckResult(name, False, "virtual total times negative total is not the positive total")
-    return CheckResult(name, True)
+        return "virtual total times negative total is not the positive total"
 
 
-def check_index_recursion() -> CheckResult:
-    name = "stage-index-recursion"
+@_check("stage-index-recursion")
+def check_index_recursion():
     if filtration.next_index(0) != 2:
-        return CheckResult(name, False, "smallest index at budget 0 is not 2")
+        return "smallest index at budget 0 is not 2"
     previous = 1
     for budget in range(0, 2001):
         value = filtration.next_index(budget)
         if value < previous:
-            return CheckResult(name, False, f"index decreases at budget {budget}")
+            return f"index decreases at budget {budget}"
         previous = value
-    return CheckResult(name, True)
 
 
 ALL_CHECKS = (

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from jetstrata import cli
+from jetstrata import cli, filtration, gring
 from jetstrata.selfcheck import check_determinant_oracle, check_ring_fixture
 
 from conftest import FOUR_MANIFOLD_SPEC
@@ -409,6 +409,42 @@ def test_porteous_past_the_matrix_cap_exits_2_at_once(capsys, ring_file, bundle_
     assert err.startswith("CharClassError") and "MAX_MATRIX_SIZE = 16" in err
 
 
+def _stage_run_document(depth):
+    # Every stage on the 9-label ring of dimension 32 (stage index 2 for
+    # budgets 0..depth+1), so the product ring has 9^(depth+1) labels.
+    ring_spec = {
+        "mode": "integer_mod_torsion",
+        "topDim": 32,
+        "basis": [{"label": "1", "degree": 0}] + [{"label": f"t{j}", "degree": 4 * j} for j in range(1, 9)],
+        "products": [
+            {"a": f"t{a}", "b": f"t{b}", "result": [{"label": f"t{a + b}", "coeff": 1}]}
+            for a in range(1, 8)
+            for b in range(a, 8)
+            if a + b <= 8
+        ],
+        "fundamental": "t8",
+    }
+    bundle = {
+        "totalPositive": [{"label": label, "coeff": 1} for label in ("1", "t1", "t2")],
+        "totalNegativePulled": [{"label": "1", "coeff": 1}],
+    }
+    return {"d": depth, "schedule": list(range(depth + 2)), "stages": [{"ring": ring_spec, "bundle": bundle}] * (depth + 1)}
+
+
+def test_filtration_run_past_the_product_cap_exits_2_at_once(capsys, tmp_path):
+    spec_path = tmp_path / "run.json"
+    write_json(spec_path, _stage_run_document(5))
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, "filtration", "run", "--spec", str(spec_path))
+    assert time.perf_counter() - start < 1.0
+    assert status == 2
+    assert out == ""
+    assert err == (
+        "PresentationError: tensor product basis of 531441 labels exceeds the cap "
+        "MAX_PRODUCT_BASIS = 100000\n"
+    )
+
+
 @pytest.mark.parametrize("dim, citation", [(8, "self-map-table-dimension-8"), (6, "self-map-table-vanishing-5-7")])
 def test_verdict_on_the_table_route_cites_the_table(capsys, tmp_path, dim, citation):
     # Odd dimensions carry no integer fundamental class, so 6 stands for 5..7.
@@ -656,6 +692,27 @@ def test_selfcheck_failure_exits_1(capsys, monkeypatch):
     status, out, _ = run_cli(capsys, "selfcheck")
     assert status == 1
     assert "FAIL synthetic-failure" in out
+
+
+@pytest.mark.parametrize(
+    "module, name, error, failing",
+    [
+        (gring, "invert_total_class", gring.NotAUnit, "total-class-inverse-involution"),
+        (filtration, "next_index", gring.ConsistencyError, "stage-index-recursion"),
+    ],
+)
+def test_selfcheck_reports_a_raising_check_as_a_failure(capsys, monkeypatch, module, name, error, failing):
+    def raising(*args):
+        raise error("induced")
+
+    monkeypatch.setattr(module, name, raising)
+    status, out, err = run_cli(capsys, "selfcheck")
+    assert status == 1
+    assert err == ""
+    lines = out.splitlines()
+    assert f"FAIL {failing}: {error.__name__}: induced" in lines
+    assert sum(line.startswith("ok ") for line in lines) == 6
+    assert lines[-1] == "passed 6 failed 1"
 
 
 def test_selfcheck_detects_corrupted_fixture():

@@ -5,10 +5,12 @@ with the full computation in every degree up to D, and the determinant
 classes must ask for exactly the degree they read.
 """
 
+import time
+
 from hypothesis import given, settings, strategies as st
 
 from jetstrata import charclass
-from jetstrata.charclass import VirtualBundle, porteous_pontrjagin
+from jetstrata.charclass import VirtualBundle, porteous_pontrjagin, porteous_sw, w_table_polynomial
 from jetstrata.filtration import build_run, product_obstruction
 from jetstrata.gring import invert_total_class, truncated_polynomial_ring
 from jetstrata.symbols import INFINITE_ORDER, JetContext
@@ -77,8 +79,10 @@ def test_bounded_virtual_total_matches_full_through_bound(data):
         assert components_through(value, bound) == components_through(full, bound)
         assert value.truncated(bound) == value
         assert (value * negative).truncated(bound) == positive.truncated(bound)
-    # A smaller bound after a larger one still reads exact parts.
+    # A smaller bound after a larger one still reads exact parts, and nothing
+    # above the smaller bound: the value does not depend on earlier calls.
     assert components_through(bundle.virtual_total(low), low) == components_through(full, low)
+    assert bundle.virtual_total(low) == full.truncated(low)
     assert bundle.virtual_total() == full
 
 
@@ -111,3 +115,27 @@ def test_porteous_on_a_product_ring_inverts_once_through_the_read_degree(monkeyp
     bundle = VirtualBundle(ring.unit(), ring.unit())
     porteous_pontrjagin(6, JetContext(ring.top_dim, ring.top_dim, INFINITE_ORDER), bundle)
     assert calls == [20]
+
+    # The table reads classes 1 and 2 from one total through degree 8.
+    calls.clear()
+    w_table_polynomial(8, bundle)
+    assert calls == [8]
+
+    # A size-3 mod-2 matrix centred on i = 4 reads indices up to i+3-1.
+    mod2 = truncated_polynomial_ring("mod2", 12, [("w", 1)])
+    calls.clear()
+    porteous_sw(4, JetContext(5, 4), VirtualBundle(mod2.element({"1": 1, "w": 1}), mod2.unit()))
+    assert calls == [6]
+
+
+def test_porteous_reads_only_the_indices_of_its_matrix():
+    # A size-3 matrix centred on an index of about 10^7: enumerating the
+    # indices from 0 would not finish.
+    ring = truncated_polynomial_ring("mod2", 6, [("w", 1)])
+    bundle = VirtualBundle(ring.element({"1": 1, "w": 1, "w^2": 1}), ring.unit())
+    n = 10**7
+    start = time.perf_counter()
+    obstruction = porteous_sw(n - 2 + 3, JetContext(n, 2), bundle)
+    assert time.perf_counter() - start < 1.0
+    assert len(obstruction.matrix) == 3
+    assert obstruction.is_zero

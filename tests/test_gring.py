@@ -273,6 +273,19 @@ def test_kunneth_product_of_two_four_manifolds():
     assert qa(x) * qb(y) == product.basis_element(f"x{gring.TENSOR_SEPARATOR}x")
 
 
+def test_kunneth_product_cap_is_exact(monkeypatch):
+    a = four_manifold_ring()
+    b = four_manifold_ring()
+    monkeypatch.setattr(gring, "MAX_PRODUCT_BASIS", 9)
+    product, _, _ = kunneth_product(a, b)
+    assert len(product.labels) == 9
+    monkeypatch.setattr(gring, "MAX_PRODUCT_BASIS", 8)
+    with pytest.raises(PresentationError, match="basis of 9 labels exceeds the cap MAX_PRODUCT_BASIS = 8"):
+        kunneth_product(a, b)
+    with pytest.raises(PresentationError, match="basis of 27 labels"):
+        kunneth_product(a, b, four_manifold_ring())
+
+
 def test_kunneth_mode_mismatch():
     a = four_manifold_ring()
     b = ManifoldRing("mod2", 2, [("1", 0), ("u", 2)], {}, "u")
