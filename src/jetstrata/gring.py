@@ -116,10 +116,13 @@ class ManifoldRing:
     degree carries a single label).
 
     Inside, a basis element is its position in ``basis``: structure constants,
-    element coefficients and map images are keyed by position.  Labels
-    (``labels``, ``degree_of``, ``position``, ``basis_by_degree``) are only
-    read and written at the edge: construction, documents and printing.
+    element coefficients and map images are keyed by position.  ``labels`` and
+    its lookup ``position`` are read and written only at the edge: construction,
+    documents and printing.
     """
+
+    __slots__ = ("mode", "top_dim", "orientable", "labels", "position", "degrees",
+                 "positions_by_degree", "unit_position", "fundamental_position", "_table")
 
     def __init__(
         self,
@@ -142,13 +145,13 @@ class ManifoldRing:
 
         if not basis:
             raise PresentationError("basis must be nonempty")
-        labels: list[str] = []
-        degree_of: dict[str, int] = {}
-        for entry in basis:
-            label, degree = entry
+        position: dict[str, int] = {}
+        degrees: list[int] = []
+        by_degree: dict[int, list[int]] = {}
+        for label, degree in basis:
             if not isinstance(label, str) or not label:
                 raise PresentationError(f"basis label must be a nonempty string, got {label!r}")
-            if label in degree_of:
+            if label in position:
                 raise PresentationError(f"duplicate basis label {label!r}")
             if not is_integer(degree) or degree < 0:
                 raise PresentationError(f"basis degree must be a nonnegative integer, got {degree!r}")
@@ -160,38 +163,32 @@ class ManifoldRing:
                 raise PresentationError(
                     f"odd-degree basis label {label!r} requires mod-2 coefficients"
                 )
-            labels.append(label)
-            degree_of[label] = degree
-        self.labels: tuple[str, ...] = tuple(labels)
-        self.degree_of = degree_of
-        self.position = {label: j for j, label in enumerate(labels)}
-        self.degrees: tuple[int, ...] = tuple(degree_of[label] for label in labels)
-
-        by_degree: dict[int, list[int]] = {}
-        for p, degree in enumerate(self.degrees):
-            by_degree.setdefault(degree, []).append(p)
+            position[label] = len(degrees)
+            by_degree.setdefault(degree, []).append(len(degrees))
+            degrees.append(degree)
+        self.labels: tuple[str, ...] = tuple(position)
+        self.position = position
+        self.degrees: tuple[int, ...] = tuple(degrees)
         self.positions_by_degree = {d: tuple(ps) for d, ps in by_degree.items()}
-        self.basis_by_degree = {d: tuple(labels[p] for p in ps) for d, ps in self.positions_by_degree.items()}
 
-        units = self.basis_by_degree.get(0, ())
+        units = self.positions_by_degree.get(0, ())
         if len(units) != 1:
-            raise BadUnit(f"degree-0 basis must be exactly the unit, got {list(units)}")
-        self.unit_label = units[0]
-        self.unit_position = self.position[self.unit_label]
+            raise BadUnit(f"degree-0 basis must be exactly the unit, got {[self.labels[p] for p in units]}")
+        self.unit_position = units[0]
 
         if fundamental is None:
-            top_labels = self.basis_by_degree.get(top_dim, ())
-            if len(top_labels) != 1:
+            tops = self.positions_by_degree.get(top_dim, ())
+            if len(tops) != 1:
                 raise MissingFundamental(
                     f"no unique top-degree label in degree {top_dim}; pass fundamental explicitly"
                 )
-            fundamental = top_labels[0]
-        if not isinstance(fundamental, str) or degree_of.get(fundamental) != top_dim:
+            fundamental = self.labels[tops[0]]
+        p = position.get(fundamental) if isinstance(fundamental, str) else None
+        if p is None or degrees[p] != top_dim:
             raise MissingFundamental(
                 f"fundamental label {fundamental!r} is not a degree-{top_dim} basis element"
             )
-        self.fundamental_label = fundamental
-        self.fundamental_position = self.position[fundamental]
+        self.fundamental_position = p
 
         # Nonzero non-unit products: (i, j), i <= j -> ((position, coeff), ...).
         self._table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
@@ -259,7 +256,8 @@ class ManifoldRing:
 
     def _bounded_triples(self) -> Iterator[tuple[int, int, int]]:
         """Non-unit position triples x <= y <= z whose degrees sum to at most
-        top_dim, in the order of ``combinations_with_replacement``."""
+        top_dim, in the order of ``combinations_with_replacement``; past
+        MAX_ASSOC_TRIPLES of them, a PresentationError instead."""
         nonunit = [p for p in range(len(self.labels)) if p != self.unit_position]
         degrees = [self.degrees[p] for p in nonunit]
         positions = list(range(len(nonunit)))
@@ -272,10 +270,14 @@ class ManifoldRing:
             ks = within[bisect_right(bounds, bound) - 1]
             return ks[bisect_left(ks, start):]
 
-        top = self.top_dim
+        top, count = self.top_dim, 0
         for i in positions:
             for j in from_position(i, top - degrees[i]):
-                for k in from_position(j, top - degrees[i] - degrees[j]):
+                ks = from_position(j, top - degrees[i] - degrees[j])
+                count += len(ks)
+                if count > MAX_ASSOC_TRIPLES:
+                    raise PresentationError(f"associativity check exceeds the cap MAX_ASSOC_TRIPLES = {MAX_ASSOC_TRIPLES} triples")
+                for k in ks:
                     yield nonunit[i], nonunit[j], nonunit[k]
 
     def _verify_associativity(self) -> None:
@@ -346,7 +348,7 @@ class ManifoldRing:
             "topDim": self.top_dim,
             "basis": [{"label": l, "degree": d} for l, d in zip(labels, self.degrees)],
             "products": products,
-            "fundamental": self.fundamental_label,
+            "fundamental": labels[self.fundamental_position],
             "orientable": self.orientable,
         }
 
@@ -493,63 +495,38 @@ def invert_total_class(c: GradedElement, through: int | None = None) -> GradedEl
 class RingMap:
     """Degree-preserving, unit-preserving, multiplicative map between rings.
 
-    ``images`` assigns every source basis label a target element; the unit
-    image may be omitted.  Multiplicativity is verified on all basis pairs at
-    construction.  The map keeps the images by source position.
+    ``images`` holds one target element per source basis position, the
+    unit's included; ``map_from_spec`` reads a map by label.
+    Multiplicativity is verified on all basis pairs at construction.
     """
 
-    def __init__(
-        self,
-        source: ManifoldRing,
-        target: ManifoldRing,
-        images: Mapping[str, GradedElement],
-    ):
+    def __init__(self, source: ManifoldRing, target: ManifoldRing, images: Sequence[GradedElement]):
         self.source = source
         self.target = target
-        table = dict(images)
-        table.setdefault(source.unit_label, target.unit())
-        for label in source.labels:
-            if label not in table:
-                raise PresentationError(f"missing image for basis label {label!r}")
-        for label, image in table.items():
-            if label not in source.degree_of:
-                raise PresentationError(f"image given for unknown label {label!r}")
+        self.images: tuple[GradedElement, ...] = tuple(images)
+        if len(self.images) != len(source.degrees):
+            raise PresentationError(f"a map from {len(source.degrees)} basis elements needs as many images, got {len(self.images)}")
+        for p, (image, degree) in enumerate(zip(self.images, source.degrees)):
             if not isinstance(image, GradedElement) or image.ring is not target:
-                raise RingMismatch(f"image of {label!r} is not an element of the target ring")
-            if not image.is_homogeneous(source.degree_of[label]):
-                raise PresentationError(f"image of {label!r} does not preserve degree")
-        if table[source.unit_label] != target.unit():
+                raise RingMismatch(f"image of position {p} is not an element of the target ring")
+            if not image.is_homogeneous(degree):
+                raise PresentationError(f"image of position {p} does not preserve degree")
+        if self.images[source.unit_position] != target.unit():
             raise BadUnit("map must send the unit to the unit")
-        self.images: tuple[GradedElement, ...] = tuple(table[label] for label in source.labels)
         self._verify_multiplicative()
 
-    def _image(self, terms: Iterable[tuple[int, int]]) -> dict[int, int]:
-        """Unnormalized target coefficients of the source (position, coefficient) terms."""
-        acc: dict[int, int] = {}
-        for p, c in terms:
-            for u, d in self.images[p].coeffs.items():
-                acc[u] = acc.get(u, 0) + c * d
-        return acc
-
     def _verify_multiplicative(self) -> None:
-        # f(ab) - f(a)f(b) accumulated in one dict, which must normalize to 0.
         source, images = self.source, self.images
-        product, normal = self.target.basis_product, self.target._normal
-        nonunit = [p for p in range(len(source.labels)) if p != source.unit_position]
+        nonunit = [p for p in range(len(images)) if p != source.unit_position]
         for a, b in itertools.combinations_with_replacement(nonunit, 2):
-            acc = self._image(source.basis_product(a, b))
-            for i, ca in images[a].coeffs.items():
-                for j, cb in images[b].coeffs.items():
-                    for t, c in product(i, j):
-                        acc[t] = acc.get(t, 0) - ca * cb * c
-            if any(normal(v) for v in acc.values()):
+            if self(GradedElement(source, dict(source.basis_product(a, b)))) != images[a] * images[b]:
                 a, b = source.labels[a], source.labels[b]
                 raise PresentationError(f"map is not multiplicative on pair ({a!r}, {b!r})")
 
     def __call__(self, c: GradedElement) -> GradedElement:
         if c.ring is not self.source:
             raise RingMismatch("element does not belong to the map's source ring")
-        return GradedElement(self.target, self._image(c.coeffs.items()))
+        return sum((self.images[p] * v for p, v in c.coeffs.items()), self.target.zero())
 
     def serialize(self) -> dict:
         return {
@@ -567,15 +544,17 @@ class TensorRing(ManifoldRing):
     """H*(P_0) ⊗ ... ⊗ H*(P_d), the Künneth ring of P_0 × ... × P_d
     (torsion-free or mod-2 coefficients, where the graded sign is 1).
 
-    ``factor_positions`` and ``factor_degrees`` map a position to one
-    position and degree per ring in ``factors``: its label joins the factor
-    labels with ``⊗`` and its degree adds theirs.  Products are computed
-    factor by factor, so no product table is stored.
+    ``basis`` lists (degree, factor positions) per position, one factor
+    position per ring in ``factors``, kept as ``factor_positions``: its label
+    joins the factor labels with ``⊗`` and its degree adds theirs.  Products
+    are computed factor by factor, so no product table is stored.
     """
 
-    def __init__(self, factors: Sequence[ManifoldRing], tuples: Sequence[tuple[int, ...]]):
+    __slots__ = ("factors", "factor_positions", "_strides", "_steps", "_position_of")
+
+    def __init__(self, factors: Sequence[ManifoldRing], basis: Sequence[tuple[int, tuple[int, ...]]]):
         self.factors = tuple(factors)
-        self.factor_positions: tuple[tuple[int, ...], ...] = tuple(tuples)
+        self.factor_positions: tuple[tuple[int, ...], ...] = tuple(t for _, t in basis)
         # A tuple's key is its mixed-radix number, the first factor most
         # significant; _position_of[key] is the position of the tuple.
         sizes = [len(f.labels) for f in self.factors]
@@ -585,13 +564,12 @@ class TensorRing(ManifoldRing):
         for p, t in enumerate(self.factor_positions):
             self._position_of[sum(a * stride for a, stride in zip(t, self._strides))] = p
         labels = [TENSOR_SEPARATOR.join(f.labels[a] for f, a in zip(self.factors, t)) for t in self.factor_positions]
-        self.factor_degrees = [tuple(f.degrees[a] for f, a in zip(self.factors, t)) for t in self.factor_positions]
         # Each factor was checked when it was built, and a tensor product of
         # associative rings is associative: nothing to verify.
         super().__init__(
             self.factors[0].mode,
             sum(f.top_dim for f in self.factors),
-            list(zip(labels, map(sum, self.factor_degrees))),
+            list(zip(labels, (d for d, _ in basis))),
             fundamental=labels[self.position_of(f.fundamental_position for f in self.factors)],
             orientable=all(f.orientable for f in self.factors),
             verify=False,
@@ -632,6 +610,10 @@ class TensorRing(ManifoldRing):
                     yield (i, j), packed
 
 
+#: Most bounded-degree triples the associativity check of one ring walks; a
+#: document past it is rejected.  The benchmark's largest ring has 227,396.
+MAX_ASSOC_TRIPLES = 1_000_000
+
 #: Largest tensor product basis, checked as the product of the factor sizes
 #: before any list is built.  The tests and the benchmark use up to 31,977.
 MAX_PRODUCT_BASIS = 100_000
@@ -658,13 +640,13 @@ def kunneth_product(*factors: ManifoldRing) -> tuple:
     for factor in factors[1:]:
         pairs = sorted(itertools.product(basis, enumerate(factor.degrees)), key=lambda p: (p[0][0] + p[1][1], p[0][0]))
         basis = [(d + e, t + (c,)) for (d, t), (c, e) in pairs]
-    ring = TensorRing(factors, [t for _, t in basis])
+    ring = TensorRing(factors, basis)
     units = [f.unit_position for f in factors]
     return ring, *(
-        RingMap(factor, ring, {
-            label: GradedElement(ring, {ring.position_of(units[:k] + [a] + units[k + 1:]): 1})
-            for a, label in enumerate(factor.labels)
-        })
+        RingMap(factor, ring, [
+            GradedElement(ring, {ring.position_of(units[:k] + [a] + units[k + 1:]): 1})
+            for a in range(len(factor.degrees))
+        ])
         for k, factor in enumerate(factors)
     )
 
@@ -677,7 +659,10 @@ def tensor_component(c: GradedElement, *degrees: int) -> GradedElement:
         raise PresentationError("element does not belong to a tensor ring")
     if len(degrees) != len(ring.factors):
         raise PresentationError(f"tensor ring has {len(ring.factors)} factors, got {len(degrees)} degrees")
-    return GradedElement(ring, {p: v for p, v in c.coeffs.items() if ring.factor_degrees[p] == degrees})
+    factors, positions = ring.factors, ring.factor_positions
+    return GradedElement(ring, {
+        p: v for p, v in c.coeffs.items() if tuple(f.degrees[a] for f, a in zip(factors, positions[p])) == degrees
+    })
 
 
 def _rank(rows: list[list[int]], mod2: bool) -> int:
@@ -712,7 +697,6 @@ def is_degreewise_injective(m: RingMap) -> bool:
         if _rank(rows, mod2) < len(positions):
             return False
     return True
-
 
 
 # -- presentation documents -------------------------------------------------
@@ -770,13 +754,21 @@ def make_ring(spec: dict) -> ManifoldRing:
 
 
 def map_from_spec(source: ManifoldRing, target: ManifoldRing, spec: dict) -> RingMap:
+    """Read a map document: one image per source label, the unit's optional."""
     images = {}
     for entry in read_field(spec, "images", list, "map presentation"):
         label = read_field(entry, "from", str, "map image")
         if label in images:
             raise PresentationError(f"duplicate image for {label!r}")
         images[label] = element_from_spec(target, read_field(entry, "to", list, "map image"))
-    return RingMap(source, target, images)
+    images.setdefault(source.labels[source.unit_position], target.unit())
+    for label in source.labels:
+        if label not in images:
+            raise PresentationError(f"missing image for basis label {label!r}")
+    for label in images:
+        if label not in source.position:
+            raise PresentationError(f"image given for unknown label {label!r}")
+    return RingMap(source, target, [images[label] for label in source.labels])
 
 
 def truncated_polynomial_ring(

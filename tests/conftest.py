@@ -48,12 +48,12 @@ def ring_map_from_generators(source, target, images_by_gen):
     """RingMap built from generator images of a truncated polynomial ring;
     multiplicative by construction.  A monomial label such as ``a^2*b``
     gives the generators and exponents of its basis element."""
-    images = {}
+    images = []
     for label in source.labels:
         element = target.unit()
         if label != "1":
             for factor in label.split("*"):
                 name, _, exponent = factor.partition("^")
                 element = element * images_by_gen[name] ** int(exponent or 1)
-        images[label] = element
+        images.append(element)
     return gring.RingMap(source, target, images)

@@ -277,9 +277,10 @@ def test_criterion_8_oracle_suites():
         count = 0
         while count < 100:
             owner = rings[count % len(rings)]
-            coeffs = {owner.unit_label: 1}
+            unit = owner.labels[owner.unit_position]
+            coeffs = {unit: 1}
             for label in owner.labels:
-                if label != owner.unit_label:
+                if label != unit:
                     coeffs[label] = rng.randint(-9, 9)
             total = owner.element(coeffs)
             inverse = invert_total_class(total)

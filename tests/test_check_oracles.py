@@ -48,10 +48,12 @@ class Twisted:
     """The truncated polynomial ring on ``SHAPES[mode]`` with basis
     e_k = m_k + sum_{j<k} twist[k][j] m_j, m_k the k-th monomial and j over
     the earlier monomials of the same degree, and the product of two non-unit
-    elements multiplied by ``scale``."""
+    elements multiplied by ``scale``.  ``top`` truncates below the shape's
+    top dimension."""
 
-    def __init__(self, mode, twist_entries, scale=1):
-        degrees, top = SHAPES[mode]
+    def __init__(self, mode, twist_entries, scale=1, top=None):
+        degrees, shape_top = SHAPES[mode]
+        top = shape_top if top is None else top
         self.mode, self.top, self.scale = mode, top, scale
         self.normal = _normal(mode)
         boxes = [range(top // d + 1) for d in degrees]
@@ -73,8 +75,8 @@ class Twisted:
         ]
 
     @staticmethod
-    def twist_size(mode):
-        return sum(len(t) for t in Twisted(mode, itertools.repeat(0)).twist)
+    def twist_size(mode, top=None):
+        return sum(len(t) for t in Twisted(mode, itertools.repeat(0), top=top).twist)
 
     def monomial_coords(self, k):
         """e_k in monomial coordinates."""
@@ -194,9 +196,9 @@ def _scale(draw, mode):
 
 
 @st.composite
-def twisted_rings(draw, mode, scale):
-    size = Twisted.twist_size(mode)
-    return Twisted(mode, draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)), scale)
+def twisted_rings(draw, mode, scale, top=None):
+    size = Twisted.twist_size(mode, top)
+    return Twisted(mode, draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)), scale, top)
 
 
 def _delta(draw, mode):
@@ -270,7 +272,8 @@ def test_multiplicativity_check_agrees_with_the_reference(mode, data):
         mode, (source.basis(), source_products), (target.basis(), target_products), images
     )
     source_ring, target_ring = source.ring(source_products), target.ring(target_products)
-    elements = {label: target_ring.element(image) for label, image in images.items()}
+    # Position 0 is the unit, the one label ``images`` leaves out.
+    elements = [target_ring.unit(), *(target_ring.element(images[label]) for label in source_ring.labels[1:])]
     if expected is None:
         RingMap(source_ring, target_ring, elements)
         return
@@ -300,7 +303,7 @@ def test_unperturbed_presentations_pass_both_checks(mode):
     assert any(len(image) > 1 for image in images.values())
     plain_products = plain.products()
     assert first_nonmultiplicative_pair(mode, (plain.basis(), plain_products), (twisted.basis(), products), images) is None
-    RingMap(plain.ring(plain_products), ring, {label: ring.element(image) for label, image in images.items()})
+    RingMap(plain.ring(plain_products), ring, [ring.unit(), *(ring.element(images[label]) for label in plain.labels[1:])])
 
 
 # -- the rank behind the injectivity check ------------------------------------

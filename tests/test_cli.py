@@ -445,6 +445,28 @@ def test_filtration_run_past_the_product_cap_exits_2_at_once(capsys, tmp_path):
     )
 
 
+def test_porteous_on_a_ring_past_the_triple_cap_exits_2(capsys, tmp_path, bundle_file):
+    # 400 degree-1 labels under a degree-3 fundamental class and no products:
+    # 10,746,800 bounded triples, several seconds to walk them all.  The
+    # associativity check stops once it would pass the cap of a million.
+    basis = [{"label": "1", "degree": 0}, *({"label": f"e{j}", "degree": 1} for j in range(400))]
+    ring_path = tmp_path / "wide.json"
+    write_json(ring_path, {"mode": "mod2", "topDim": 3, "basis": [*basis, {"label": "top", "degree": 3}], "fundamental": "top"})
+    bundle_path = tmp_path / "unit.json"
+    write_json(bundle_path, {"totalPositive": [{"label": "1", "coeff": 1}], "totalNegativePulled": [{"label": "1", "coeff": 1}]})
+    start = time.perf_counter()
+    status, out, err = run_cli(
+        capsys,
+        "porteous", "--variant", "sw",
+        "--ring", str(ring_path), "--bundle", str(bundle_path),
+        "--i", "1", "--n", "3", "--p", "3",
+    )
+    assert time.perf_counter() - start < 3.0
+    assert status == 2
+    assert out == ""
+    assert err == "PresentationError: associativity check exceeds the cap MAX_ASSOC_TRIPLES = 1000000 triples\n"
+
+
 @pytest.mark.parametrize("dim, citation", [(8, "self-map-table-dimension-8"), (6, "self-map-table-vanishing-5-7")])
 def test_verdict_on_the_table_route_cites_the_table(capsys, tmp_path, dim, citation):
     # Odd dimensions carry no integer fundamental class, so 6 stands for 5..7.

@@ -263,28 +263,10 @@ def test_verdict_product_scenario():
     # conclusive once the shifted inclusion criterion holds (budget <= 8)
     left = truncated_polynomial_ring("integer_mod_torsion", 16, [("t", 4)])
     right = truncated_polynomial_ring("integer_mod_torsion", 16, [("s", 4)])
-    pull = RingMap(
-        right,
-        left,
-        {
-            "1": left.unit(),
-            "s": left.basis_element("t"),
-            "s^2": left.basis_element("t^2"),
-            "s^3": left.basis_element("t^3"),
-            "s^4": left.basis_element("t^4"),
-        },
-    )
-    inverse = RingMap(
-        left,
-        right,
-        {
-            "1": right.unit(),
-            "t": right.basis_element("s"),
-            "t^2": right.basis_element("s^2"),
-            "t^3": right.basis_element("s^3"),
-            "t^4": right.basis_element("s^4"),
-        },
-    )
+    # Both bases are 1, g, g^2, g^3, g^4, so the swap maps position to position.
+    assert [l.replace("s", "t") for l in right.labels] == list(left.labels) == ["1", "t", "t^2", "t^3", "t^4"]
+    pull = RingMap(right, left, [left.basis_element(l) for l in left.labels])
+    inverse = RingMap(left, right, [right.basis_element(l) for l in right.labels])
     tangent_left = left.element({"1": 1, "t": 1, "t^2": 1})
     tangent_right = right.unit()
     construction = double_construction(tangent_left, tangent_right, pull, inverse)

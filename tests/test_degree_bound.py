@@ -38,9 +38,10 @@ def rings(draw):
 @st.composite
 def totals(draw, ring):
     """A total class: the unit plus small coefficients on other labels."""
-    coeffs = {ring.unit_label: 1}
+    unit = ring.labels[ring.unit_position]
+    coeffs = {unit: 1}
     for label in ring.labels:
-        if label != ring.unit_label:
+        if label != unit:
             coeffs[label] = draw(st.integers(-3, 3))
     return ring.element(coeffs)
 

@@ -19,6 +19,7 @@ from jetstrata.filtration import (
     stage_obstruction,
 )
 from jetstrata.gring import (
+    ManifoldRing,
     RingMap,
     kunneth_product,
     tensor_component,
@@ -210,23 +211,23 @@ def test_depth3_run_on_31977_labels_is_quick():
 def test_each_run_injection_is_checked_once(monkeypatch):
     # The maps whose multiplicativity build_run checks are exactly the run's
     # injections, one per stage, each over every pair of its stage basis.
+    # During a check the ring class records every basis product it is asked
+    # for as (ring, i, j); the tensor ring computes its own products through
+    # factor methods bound before the checks, so only the source's are seen.
     checked, pairs = [], {}
-    check = RingMap._verify_multiplicative
+    check, product = RingMap._verify_multiplicative, ManifoldRing.basis_product
 
     def counting(self):
         checked.append(self)
         seen = pairs[id(self)] = set()
-        product = self.source.basis_product
 
-        def recording(i, j):
-            seen.add((i, j))
-            return product(i, j)
+        def recording(ring, i, j):
+            seen.add((id(ring), i, j))
+            return product(ring, i, j)
 
-        self.source.basis_product = recording
-        try:
+        with monkeypatch.context() as patch:
+            patch.setattr(ManifoldRing, "basis_product", recording)
             check(self)
-        finally:
-            del self.source.basis_product
 
     monkeypatch.setattr(RingMap, "_verify_multiplicative", counting)
     stage0 = chain_bundle(32, {1: 1, 2: 1}, gen="t")
@@ -238,7 +239,8 @@ def test_each_run_injection_is_checked_once(monkeypatch):
     for stage, inject in zip(run.stages, run.injections):
         assert inject.source is stage.ring and inject.target is run.product_ring
         nonunit = [p for p in range(len(stage.ring.labels)) if p != stage.ring.unit_position]
-        assert pairs[id(inject)] == set(itertools.combinations_with_replacement(nonunit, 2))
+        expected = {(id(stage.ring), i, j) for i, j in itertools.combinations_with_replacement(nonunit, 2)}
+        assert pairs[id(inject)] == expected
 
 
 def test_product_obstruction_stage_out_of_range():
@@ -329,12 +331,8 @@ def test_double_construction_bidegree_identity():
 def test_double_construction_dimension_check():
     left = free_even_ring(8, "a")
     right = free_even_ring(12, "b")
-    pull = RingMap(
-        right, left, {l: left.zero() for l in right.labels if l != "1"} | {"1": left.unit()}
-    )
-    inverse = RingMap(
-        left, right, {l: right.zero() for l in left.labels if l != "1"} | {"1": right.unit()}
-    )
+    pull = RingMap(right, left, [left.unit() if l == "1" else left.zero() for l in right.labels])
+    inverse = RingMap(left, right, [right.unit() if l == "1" else right.zero() for l in left.labels])
     with pytest.raises(DimensionMismatch):
         double_construction(left.unit(), right.unit(), pull, inverse)
 

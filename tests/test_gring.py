@@ -31,7 +31,7 @@ from conftest import FOUR_MANIFOLD_SPEC, four_manifold_ring
 
 def test_point_ring():
     ring = ManifoldRing("integer_mod_torsion", 0, [("1", 0)])
-    assert ring.fundamental_label == "1"
+    assert ring.labels[ring.fundamental_position] == "1"
     assert pair_fundamental(ring.unit()) == 1
 
 
@@ -123,12 +123,42 @@ def test_bounded_triples_match_filtered_brute_force():
     spec = ordered.serialize()
     spec["basis"] = spec["basis"][::-1]  # positions no longer follow degrees
     for ring in (ordered, make_ring(spec)):
-        nonunit = [l for l in ring.labels if l != ring.unit_label]
+        nonunit = [l for l in ring.labels if l != ring.labels[ring.unit_position]]
         every = list(itertools.combinations_with_replacement(nonunit, 3))
-        bounded = [t for t in every if sum(ring.degree_of[l] for l in t) <= ring.top_dim]
+        bounded = [t for t in every if sum(ring.degrees[ring.position[l]] for l in t) <= ring.top_dim]
         assert 0 < len(bounded) < len(every)
         triples = [tuple(ring.labels[p] for p in t) for t in ring._bounded_triples()]
         assert triples == bounded
+
+
+def test_associativity_triple_cap_is_exact(monkeypatch):
+    ring = truncated_polynomial_ring("mod2", 8, [("u", 1), ("v", 2), ("w", 3)], fundamental="u^8")
+    spec = ring.serialize()
+    count = sum(1 for _ in ring._bounded_triples())
+    monkeypatch.setattr(gring, "MAX_ASSOC_TRIPLES", count)
+    assert make_ring(spec).serialize() == spec
+    monkeypatch.setattr(gring, "MAX_ASSOC_TRIPLES", count - 1)
+    with pytest.raises(PresentationError, match=f"^associativity check exceeds the cap MAX_ASSOC_TRIPLES = {count - 1} triples$"):
+        make_ring(spec)
+    # Without u*u = u^2 the ring is not associative; inside the cap the
+    # check names the first failing triple, not the cap.
+    bad = [p for p in spec["products"] if (p["a"], p["b"]) != ("u", "u")]
+    monkeypatch.setattr(gring, "MAX_ASSOC_TRIPLES", count)
+    with pytest.raises(NonAssociative, match="^products of 'u', 'u', 'v' do not associate$"):
+        make_ring({**spec, "products": bad})
+
+
+@pytest.mark.parametrize("ring", [
+    ManifoldRing("integer_mod_torsion", 0, [("1", 0)]),
+    truncated_polynomial_ring("mod2", 2, [("u", 1)]),
+    gring.kunneth_product(truncated_polynomial_ring("mod2", 2, [("u", 1)]))[0],
+], ids=["ring", "polynomial", "tensor"])
+def test_rings_take_no_new_attributes(ring):
+    with pytest.raises(AttributeError):
+        ring.basis_product = lambda i, j: ()
+    with pytest.raises(AttributeError):
+        ring.extra = 1
+    assert not hasattr(ring, "__dict__")
 
 
 # (mode, basis, products, expected message) of presentations the ring refuses.
@@ -240,9 +270,10 @@ def test_invert_involution_randomized(four_ring):
         "integer_mod_torsion", 8, [("a", 2), ("b", 4)], fundamental="b^2"
     )
     for ring in (four_ring, ring8):
-        labels = [l for l in ring.labels if l != ring.unit_label]
+        unit = ring.labels[ring.unit_position]
+        labels = [l for l in ring.labels if l != unit]
         for _ in range(25):
-            coeffs = {ring.unit_label: 1}
+            coeffs = {unit: 1}
             for label in labels:
                 coeffs[label] = rng.randint(-9, 9)
             total = ring.element(coeffs)
@@ -267,7 +298,7 @@ def test_kunneth_product_of_two_four_manifolds():
     product, qa, qb = kunneth_product(a, b)
     assert len(product.labels) == 9
     assert product.top_dim == 8
-    assert product.fundamental_label == f"x2{gring.TENSOR_SEPARATOR}x2"
+    assert product.labels[product.fundamental_position] == f"x2{gring.TENSOR_SEPARATOR}x2"
     x = a.basis_element("x")
     y = b.basis_element("x")
     assert qa(x) * qb(y) == product.basis_element(f"x{gring.TENSOR_SEPARATOR}x")
@@ -315,7 +346,7 @@ def test_apply_map_identity(four_ring):
     product, ident = kunneth_product(four_ring)
     assert product.labels == four_ring.labels
     assert product.degrees == four_ring.degrees
-    assert product.fundamental_label == four_ring.fundamental_label
+    assert product.fundamental_position == four_ring.fundamental_position
     c = four_ring.element({"1": 2, "x": -1, "x2": 4})
     assert element_to_spec(ident(c)) == element_to_spec(c)
     assert ident(c) * ident(c) == ident(c * c)
@@ -336,24 +367,22 @@ def test_apply_map_multiplicative_on_random_pairs():
 def test_map_rejects_non_multiplicative_images():
     ring = four_manifold_ring()
     other = four_manifold_ring()
-    images = {
-        "1": other.unit(),
-        "x": 2 * other.basis_element("x"),
-        "x2": other.basis_element("x2"),  # should be 4*x2 to stay multiplicative
-    }
-    with pytest.raises(PresentationError):
+    images = [
+        other.unit(),
+        2 * other.basis_element("x"),
+        other.basis_element("x2"),  # should be 4*x2 to stay multiplicative
+    ]
+    assert ring.labels == ("1", "x", "x2")
+    with pytest.raises(PresentationError, match=r"^map is not multiplicative on pair \('x', 'x'\)$"):
         RingMap(ring, other, images)
 
 
 def test_map_rejects_degree_shift():
     ring = four_manifold_ring()
     other = four_manifold_ring()
-    images = {
-        "1": other.unit(),
-        "x": other.basis_element("x2"),
-        "x2": other.zero(),
-    }
-    with pytest.raises(PresentationError):
+    images = [other.unit(), other.basis_element("x2"), other.zero()]
+    assert ring.labels == ("1", "x", "x2")
+    with pytest.raises(PresentationError, match="^image of position 1 does not preserve degree$"):
         RingMap(ring, other, images)
 
 
@@ -368,11 +397,7 @@ def test_injections_are_degreewise_injective():
 def test_collapsing_map_is_not_injective():
     ring = four_manifold_ring()
     point = ManifoldRing("integer_mod_torsion", 0, [("1", 0)])
-    to_point = RingMap(
-        ring,
-        point,
-        {"1": point.unit(), "x": point.zero(), "x2": point.zero()},
-    )
+    to_point = RingMap(ring, point, [point.unit(), point.zero(), point.zero()])
     assert not is_degreewise_injective(to_point)
 
 
@@ -448,15 +473,53 @@ def test_element_spec_round_trip(four_ring):
 def test_map_spec_round_trip():
     a = four_manifold_ring()
     b = four_manifold_ring()
-    original = RingMap(
-        a,
-        b,
-        {"1": b.unit(), "x": -1 * b.basis_element("x"), "x2": b.basis_element("x2")},
-    )
+    original = RingMap(a, b, [b.unit(), -1 * b.basis_element("x"), b.basis_element("x2")])
     spec = original.serialize()
+    assert [entry["from"] for entry in spec["images"]] == ["1", "x", "x2"]
     again = gring.map_from_spec(a, b, spec)
     assert again.serialize() == spec
     assert again(a.basis_element("x")) == -1 * b.basis_element("x")
+
+
+def _images(*pairs):
+    """A map document's images: (from, to label, coefficient) triples."""
+    return {"images": [{"from": a, "to": [{"label": b, "coeff": c}]} for a, b, c in pairs]}
+
+
+_NEGATE_X = [("1", "1", 1), ("x", "x", -1), ("x2", "x2", 1)]
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda a, b: gring.map_from_spec(a, b, _images(*_NEGATE_X[:2])),
+     PresentationError, "missing image for basis label 'x2'"),
+    (lambda a, b: gring.map_from_spec(a, b, _images(*_NEGATE_X, ("y", "x", 1))),
+     PresentationError, "image given for unknown label 'y'"),
+    (lambda a, b: gring.map_from_spec(a, b, _images(*_NEGATE_X, ("x", "x", 1))),
+     PresentationError, "duplicate image for 'x'"),
+    (lambda a, b: gring.map_from_spec(a, b, _images(("1", "1", 2), *_NEGATE_X[1:])),
+     BadUnit, "map must send the unit to the unit"),
+    (lambda a, b: gring.map_from_spec(a, b, _images(("1", "1", 1), ("x", "x2", 1), ("x2", "x2", 1))),
+     PresentationError, "image of position 1 does not preserve degree"),
+    (lambda a, b: RingMap(a, b, [b.unit(), a.basis_element("x"), b.basis_element("x2")]),
+     RingMismatch, "image of position 1 is not an element of the target ring"),
+    (lambda a, b: RingMap(a, b, [b.unit(), b.basis_element("x")]),
+     PresentationError, "a map from 3 basis elements needs as many images, got 2"),
+    (lambda a, b: RingMap(a, b, [b.unit(), -1 * b.basis_element("x"), b.basis_element("x2"), b.zero()]),
+     PresentationError, "a map from 3 basis elements needs as many images, got 4"),
+], ids=["missing", "unknown", "duplicate", "unit", "degree", "ring", "too-few", "too-many"])
+def test_map_edge_messages(build, error, message):
+    a, b = four_manifold_ring(), four_manifold_ring()
+    with pytest.raises(error) as raised:
+        build(a, b)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+def test_map_spec_takes_the_unit_image_by_default():
+    a, b = four_manifold_ring(), four_manifold_ring()
+    implied = gring.map_from_spec(a, b, _images(*_NEGATE_X[1:]))
+    assert implied.serialize() == gring.map_from_spec(a, b, _images(*_NEGATE_X)).serialize()
+    assert implied.images == (b.unit(), -1 * b.basis_element("x"), b.basis_element("x2"))
 
 
 def test_map_spec_rejects_a_non_string_source_label():

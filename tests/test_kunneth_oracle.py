@@ -6,7 +6,8 @@ plain ``ManifoldRing``, which also runs its own associativity check.  More
 factors are tensored one at a time, ``materialized_kunneth(materialized_kunneth(A, B), C)``.
 The flat factored ring must agree with it on every basis product, on seeded
 random element products and on its injections, and serialize to the same
-document.
+document.  A property test draws the factors from the twisted polynomial
+rings of ``test_check_oracles``.
 """
 
 import functools
@@ -15,6 +16,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetstrata.gring import (
     TENSOR_SEPARATOR,
@@ -29,32 +32,30 @@ from jetstrata.gring import (
 )
 
 from conftest import four_manifold_ring
+from test_check_oracles import SHAPES, _scale, twisted_rings
 
 
 def materialized_kunneth(left: ManifoldRing, right: ManifoldRing) -> ManifoldRing:
     """H*(left) ⊗ H*(right) with its full product table stored."""
 
     def label(a, b):
-        return f"{a}{TENSOR_SEPARATOR}{b}"
+        return f"{left.labels[a]}{TENSOR_SEPARATOR}{right.labels[b]}"
 
+    # Pairs of positions, sorted by total degree, then left degree, then
+    # left and right position.
     pairs = sorted(
-        itertools.product(left.labels, right.labels),
-        key=lambda p: (
-            left.degree_of[p[0]] + right.degree_of[p[1]],
-            left.degree_of[p[0]],
-            left.position[p[0]],
-            right.position[p[1]],
-        ),
+        itertools.product(range(len(left.labels)), range(len(right.labels))),
+        key=lambda p: (left.degrees[p[0]] + right.degrees[p[1]], left.degrees[p[0]], p[0], p[1]),
     )
-    basis = [(label(a, b), left.degree_of[a] + right.degree_of[b]) for a, b in pairs]
+    basis = [(label(a, b), left.degrees[a] + right.degrees[b]) for a, b in pairs]
     products = {}
     for (a1, b1), (a2, b2) in itertools.combinations_with_replacement(pairs, 2):
-        if (a1, b1) == (left.unit_label, right.unit_label):
+        if (a1, b1) == (left.unit_position, right.unit_position):
             continue
         result = {}
-        for ra, ca in left.basis_product(left.position[a1], left.position[a2]):
-            for rb, cb in right.basis_product(right.position[b1], right.position[b2]):
-                result[label(left.labels[ra], right.labels[rb])] = ca * cb
+        for ra, ca in left.basis_product(a1, a2):
+            for rb, cb in right.basis_product(b1, b2):
+                result[label(ra, rb)] = ca * cb
         if result:
             products[(label(a1, b1), label(a2, b2))] = result
     return ManifoldRing(
@@ -62,7 +63,7 @@ def materialized_kunneth(left: ManifoldRing, right: ManifoldRing) -> ManifoldRin
         left.top_dim + right.top_dim,
         basis,
         products,
-        label(left.fundamental_label, right.fundamental_label),
+        label(left.fundamental_position, right.fundamental_position),
         orientable=left.orientable and right.orientable,
     )
 
@@ -124,11 +125,12 @@ def oracle_injections(factors) -> list[dict[str, str]]:
     maps: a label of factor k goes to the labels of the earlier products,
     each tensored on the right with the next factor's unit."""
     maps = [{label: label for label in factors[0].labels}]
-    unit = factors[0].unit_label
+    unit = factors[0].labels[factors[0].unit_position]
     for factor in factors[1:]:
-        maps = [{a: f"{image}{TENSOR_SEPARATOR}{factor.unit_label}" for a, image in m.items()} for m in maps]
+        factor_unit = factor.labels[factor.unit_position]
+        maps = [{a: f"{image}{TENSOR_SEPARATOR}{factor_unit}" for a, image in m.items()} for m in maps]
         maps.append({b: f"{unit}{TENSOR_SEPARATOR}{b}" for b in factor.labels})
-        unit = f"{unit}{TENSOR_SEPARATOR}{factor.unit_label}"
+        unit = f"{unit}{TENSOR_SEPARATOR}{factor_unit}"
     return maps
 
 
@@ -152,8 +154,8 @@ def case(request):
 def test_factored_products_match_the_table(case):
     product, oracle = case
     assert product.labels == oracle.labels
-    assert product.degree_of == oracle.degree_of
-    assert product.fundamental_label == oracle.fundamental_label
+    assert product.degrees == oracle.degrees
+    assert product.fundamental_position == oracle.fundamental_position
     # Equal label tuples, so equal positions name equal labels.
     for i, j in itertools.product(range(len(product.labels)), repeat=2):
         assert product.basis_product(i, j) == oracle.basis_product(i, j), (product.labels[i], product.labels[j])
@@ -194,9 +196,9 @@ def test_tensor_component_reads_the_factors(case):
     everything = product.element({label: 1 for label in product.labels})
     factors = product.factors
     pieces = product.zero()
-    for degrees in itertools.product(*(f.basis_by_degree for f in factors)):
+    for degrees in itertools.product(*(f.positions_by_degree for f in factors)):
         piece = tensor_component(everything, *degrees)
-        tuples = math.prod(len(f.basis_by_degree[d]) for f, d in zip(factors, degrees))
+        tuples = math.prod(len(f.positions_by_degree[d]) for f, d in zip(factors, degrees))
         assert len(piece.coeffs) == tuples
         pieces = pieces + piece
     assert pieces == everything
@@ -228,7 +230,7 @@ def test_tensor_products_have_multiple_terms():
     a_u = f"a{TENSOR_SEPARATOR}u"
     p = product.position[a_u]
     assert len(product.basis_product(p, p)) == 2
-    assert any(d % 2 for d in product.degree_of.values())
+    assert any(d % 2 for d in product.degrees)
 
 
 def test_one_factor_product_keeps_an_unsorted_basis():
@@ -242,3 +244,51 @@ def test_one_factor_product_keeps_an_unsorted_basis():
     assert product.serialize() == ring.serialize()
     x = ring.basis_element("x")
     assert element_to_spec(inject(x) * inject(x)) == element_to_spec(x * x)
+
+
+# The top dimensions a drawn factor may have, and the most all factors may
+# add up to, per mode: products stay under 64 labels, so the oracle is cheap.
+FACTOR_TOPS = {"mod2": (range(5), 5), "integer_mod_torsion": (range(0, 9, 2), 8)}
+
+
+@st.composite
+def factor_rings(draw, count):
+    """``count`` twisted polynomial rings of one coefficient mode."""
+    mode = draw(st.sampled_from(sorted(SHAPES)))
+    tops, budget = FACTOR_TOPS[mode]
+    factors = []
+    for _ in range(count):
+        # Larger tops first, so that examples start large and shrink small.
+        top = draw(st.sampled_from([t for t in reversed(tops) if t <= budget]))
+        budget -= top
+        twisted = draw(twisted_rings(mode, _scale(draw, mode), top))
+        factors.append(twisted.ring(twisted.products()))
+    return factors
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_kunneth_product_matches_the_iterated_oracle(count, data):
+    factors = data.draw(factor_rings(count))
+    product, *injections = kunneth_product(*factors)
+    oracle = functools.reduce(materialized_kunneth, factors)
+    assert product.labels == oracle.labels
+    assert product.degrees == oracle.degrees
+    assert product.fundamental_position == oracle.fundamental_position
+    for i, j in itertools.product(range(len(product.labels)), repeat=2):
+        assert product.basis_product(i, j) == oracle.basis_product(i, j), (product.labels[i], product.labels[j])
+    # A label's factor labels, split off at the separator, sit in the degrees
+    # of its tensor component.
+    everything = product.element(dict.fromkeys(product.labels, 1))
+    for degrees in itertools.product(*(f.positions_by_degree for f in factors)):
+        expected = {
+            label for label in oracle.labels
+            if [f.degrees[f.position[part]] for f, part in zip(factors, label.split(TENSOR_SEPARATOR))] == list(degrees)
+        }
+        assert {product.labels[p] for p in tensor_component(everything, *degrees).coeffs} == expected
+    for factor, inject, expected in zip(factors, injections, oracle_injections(factors), strict=True):
+        assert inject.source is factor and inject.target is product
+        for label in factor.labels:
+            image = inject(factor.basis_element(label))
+            assert element_to_spec(image) == element_to_spec(oracle.basis_element(expected[label]))
