@@ -257,28 +257,29 @@ class ManifoldRing:
     def _bounded_triples(self) -> Iterator[tuple[int, int, int]]:
         """Non-unit position triples x <= y <= z whose degrees sum to at most
         top_dim, in the order of ``combinations_with_replacement``; past
-        MAX_ASSOC_TRIPLES of them, a PresentationError instead."""
+        MAX_ASSOC_TRIPLES of them, a PresentationError before the first."""
         nonunit = [p for p in range(len(self.labels)) if p != self.unit_position]
         degrees = [self.degrees[p] for p in nonunit]
-        positions = list(range(len(nonunit)))
+        positions, top = list(range(len(nonunit))), self.top_dim
         # within[b]: the positions of degree at most bounds[b], ascending;
         # degree 0 holds only the unit, so within[0] is empty.
         bounds = [0, *sorted(set(degrees))]
         within = [[k for k in positions if degrees[k] <= bound] for bound in bounds]
 
-        def from_position(start: int, bound: int) -> list[int]:
+        def from_position(start: int, bound: int) -> tuple[list[int], int]:
+            # ks[lo:] holds the positions from start on of degree at most bound.
             ks = within[bisect_right(bounds, bound) - 1]
-            return ks[bisect_left(ks, start):]
+            return ks, bisect_left(ks, start)
 
-        top, count = self.top_dim, 0
-        for i in positions:
-            for j in from_position(i, top - degrees[i]):
-                ks = from_position(j, top - degrees[i] - degrees[j])
-                count += len(ks)
-                if count > MAX_ASSOC_TRIPLES:
-                    raise PresentationError(f"associativity check exceeds the cap MAX_ASSOC_TRIPLES = {MAX_ASSOC_TRIPLES} triples")
-                for k in ks:
-                    yield nonunit[i], nonunit[j], nonunit[k]
+        def slices() -> Iterator[tuple[int, int, list[int], int]]:
+            for i in positions:
+                js, lo = from_position(i, top - degrees[i])
+                for j in js[lo:]:
+                    yield i, j, *from_position(j, top - degrees[i] - degrees[j])
+
+        if sum(len(ks) - lo for _, _, ks, lo in slices()) > MAX_ASSOC_TRIPLES:
+            raise PresentationError(f"associativity check exceeds the cap MAX_ASSOC_TRIPLES = {MAX_ASSOC_TRIPLES} triples")
+        yield from ((nonunit[i], nonunit[j], nonunit[k]) for i, j, ks, lo in slices() for k in ks[lo:])
 
     def _verify_associativity(self) -> None:
         # Triples with total degree above top_dim associate trivially (both
@@ -501,6 +502,8 @@ class RingMap:
     """
 
     def __init__(self, source: ManifoldRing, target: ManifoldRing, images: Sequence[GradedElement]):
+        if isinstance(images, Mapping):
+            raise PresentationError("map images must be a sequence by source position, not a mapping")
         self.source = source
         self.target = target
         self.images: tuple[GradedElement, ...] = tuple(images)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from jetstrata.charclass import (
     ParityError,
     UnsupportedDimension,
     VirtualBundle,
+    _porteous,
     class_of_virtual,
     det_graded,
     porteous_pontrjagin,
@@ -115,6 +117,15 @@ def test_det_graded_matches_leibniz_oracle():
         for _ in range(6):
             matrix = [[rng.choice(pool) for _ in range(size)] for _ in range(size)]
             assert det_graded(matrix, ring=ring) == leibniz_det(matrix, ring)
+    # Further inputs: sizes 5 and 6, and a mod-2 ring with odd degrees.
+    mod2 = truncated_polynomial_ring("mod2", 8, [("u", 1), ("v", 2), ("w", 3)], fundamental="u^8")
+    u, v, w = (mod2.basis_element(g) for g in "uvw")
+    mod2_pool = [mod2.zero(), mod2.unit(), u, v, w, u + mod2.unit(), u * u + v, u * v + w]
+    for owner, entries, sizes in ((ring, pool, range(5, 7)), (mod2, mod2_pool, range(1, 7))):
+        for size in sizes:
+            for _ in range(6):
+                matrix = [[rng.choice(entries) for _ in range(size)] for _ in range(size)]
+                assert det_graded(matrix, ring=owner) == leibniz_det(matrix, owner)
 
 
 def test_porteous_sw_one_by_one_is_single_class():
@@ -178,6 +189,28 @@ def test_matrix_size_cap_is_exact_for_both_classes():
         porteous_sw(MAX_MATRIX_SIZE + 1, JetContext(4, 4), sw_bundle)
     with pytest.raises(CharClassError, match=message):
         porteous_pontrjagin(2 * MAX_MATRIX_SIZE + 2, JetContext(4, 4), p_bundle)
+
+
+def test_determinant_at_the_cap_meets_the_dual_jacobi_trudi_identity():
+    # A size-cap class matrix of a random total centred at k has the
+    # determinant of the size-k matrix of its inverse centred at the cap, up
+    # to (-1)^(cap k).  The cap-size determinant is bounded in time.
+    rng = random.Random(17)
+    values = []
+    for mode, degree in (("mod2", 1), ("integer_mod_torsion", 4)):
+        ring = truncated_polynomial_ring(mode, 2 * MAX_MATRIX_SIZE * degree, [("w", degree)])
+        coeffs = {label: rng.randint(-3, 3) for label in ring.labels}
+        total = ring.element({**coeffs, "1": 1})
+        for k in (1, 2):
+            start = time.perf_counter()
+            left = _porteous(VirtualBundle(total, ring.unit()), 0, k, MAX_MATRIX_SIZE, "cap")
+            assert time.perf_counter() - start < 2.0
+            right = _porteous(VirtualBundle(ring.unit(), total), 0, MAX_MATRIX_SIZE, k, "k")
+            assert len(left.matrix) == MAX_MATRIX_SIZE
+            assert left.value == (-right.value if MAX_MATRIX_SIZE * k % 2 else right.value)
+            values.append(left.value)
+    # A mod-2 value is one bit, but the identity must not hold only as 0 = 0.
+    assert sum(1 for value in values if value) >= 2
 
 
 def test_porteous_pontrjagin_one_by_one(four_ring):

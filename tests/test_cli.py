@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from jetstrata import cli, filtration, gring
+from jetstrata import charclass, cli, filtration, gring
 from jetstrata.selfcheck import check_determinant_oracle, check_ring_fixture
 
 from conftest import FOUR_MANIFOLD_SPEC
@@ -406,7 +406,7 @@ def test_porteous_past_the_matrix_cap_exits_2_at_once(capsys, ring_file, bundle_
     assert time.perf_counter() - start < 1.0
     assert status == 2
     assert out == ""
-    assert err.startswith("CharClassError") and "MAX_MATRIX_SIZE = 16" in err
+    assert err.startswith("CharClassError") and f"MAX_MATRIX_SIZE = {charclass.MAX_MATRIX_SIZE}" in err
 
 
 def _stage_run_document(depth):

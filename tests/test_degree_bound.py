@@ -140,3 +140,19 @@ def test_porteous_reads_only_the_indices_of_its_matrix():
     assert time.perf_counter() - start < 1.0
     assert len(obstruction.matrix) == 3
     assert obstruction.is_zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dual_jacobi_trudi_identity(data):
+    # The size-r class matrix of c centred at k and the size-k matrix of c^-1
+    # centred at r have determinants equal up to the sign (-1)^(rk)
+    # (Macdonald, Symmetric Functions and Hall Polynomials, Ch. I §3): an
+    # oracle for det_graded at sizes the Leibniz sum cannot reach, through
+    # the inverse total and the degree bound of the classes it reads.
+    ring = data.draw(rings())
+    total = data.draw(totals(ring))
+    r, k = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 10))
+    left = charclass._porteous(VirtualBundle(total, ring.unit()), 0, k, r, "r").value
+    right = charclass._porteous(VirtualBundle(ring.unit(), total), 0, r, k, "k").value
+    assert left == (-right if r * k % 2 else right)

@@ -148,6 +148,15 @@ def test_associativity_triple_cap_is_exact(monkeypatch):
         make_ring({**spec, "products": bad})
 
 
+def test_triple_cap_refuses_before_the_first_triple():
+    # The 400-label ring of the CLI cap test, built without the check: its
+    # 10,746,800 bounded triples are counted, and none is walked.
+    basis = [("1", 0), *((f"e{j}", 1) for j in range(400)), ("top", 3)]
+    ring = ManifoldRing("mod2", 3, basis, fundamental="top", verify=False)
+    with pytest.raises(PresentationError, match=f"^associativity check exceeds the cap MAX_ASSOC_TRIPLES = {gring.MAX_ASSOC_TRIPLES} triples$"):
+        next(ring._bounded_triples())
+
+
 @pytest.mark.parametrize("ring", [
     ManifoldRing("integer_mod_torsion", 0, [("1", 0)]),
     truncated_polynomial_ring("mod2", 2, [("u", 1)]),
@@ -383,6 +392,14 @@ def test_map_rejects_degree_shift():
     images = [other.unit(), other.basis_element("x2"), other.zero()]
     assert ring.labels == ("1", "x", "x2")
     with pytest.raises(PresentationError, match="^image of position 1 does not preserve degree$"):
+        RingMap(ring, other, images)
+
+
+def test_map_refuses_images_by_label():
+    ring = four_manifold_ring()
+    other = four_manifold_ring()
+    images = {"1": other.unit(), "x": other.basis_element("x"), "x2": other.basis_element("x2")}
+    with pytest.raises(PresentationError, match="^map images must be a sequence by source position, not a mapping$"):
         RingMap(ring, other, images)
 
 

@@ -246,6 +246,21 @@ def test_one_factor_product_keeps_an_unsorted_basis():
     assert element_to_spec(inject(x) * inject(x)) == element_to_spec(x * x)
 
 
+def test_two_factor_product_sorts_ties_by_the_first_factor_degree():
+    # The first factor lists x2 before x and the unit last, so its positions
+    # run against its degrees: pairs of equal total degree are ordered by the
+    # first factor's degree, not by its position.
+    first = ManifoldRing(
+        "integer_mod_torsion", 4, [("x2", 4), ("x", 2), ("1", 0)], {("x", "x"): {"x2": 1}}, "x2"
+    )
+    product, _, _ = kunneth_product(first, four_manifold_ring())
+    oracle = materialized_kunneth(first, four_manifold_ring())
+    pairs = ["1 1", "1 x", "x 1", "1 x2", "x x", "x2 1", "x x2", "x2 x", "x2 x2"]
+    assert product.labels == oracle.labels == tuple(p.replace(" ", TENSOR_SEPARATOR) for p in pairs)
+    for i, j in itertools.product(range(len(product.labels)), repeat=2):
+        assert product.basis_product(i, j) == oracle.basis_product(i, j)
+
+
 # The top dimensions a drawn factor may have, and the most all factors may
 # add up to, per mode: products stay under 64 labels, so the oracle is cheap.
 FACTOR_TOPS = {"mod2": (range(5), 5), "integer_mod_torsion": (range(0, 9, 2), 8)}
