@@ -101,8 +101,8 @@ class VirtualBundle:
         degree-d part of a product depends only on the factors' parts of
         degree <= d.
         """
+        inverse = invert_total_class(self.total_negative_pulled, through)
         bound = self.ring.top_dim if through is None else min(through, self.ring.top_dim)
-        inverse = invert_total_class(self.total_negative_pulled, bound)
         return (self.total_positive.truncated(bound) * inverse).truncated(bound)
 
 

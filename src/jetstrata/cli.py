@@ -18,9 +18,19 @@ from . import charclass, criteria, filtration, gring, selfcheck, symbols
 
 
 def _load_json(path: str):
+    def unique_keys(pairs):
+        document = dict(pairs)
+        if len(document) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise gring.PresentationError(f"{path}: repeated key {key!r} in one JSON object")
+                seen.add(key)
+        return document
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=unique_keys)
         except RecursionError:
             raise gring.PresentationError(
                 f"{path}: JSON nests deeper than the parser's limit of about "
@@ -80,6 +90,10 @@ def _jet_order_value(k) -> int | str:
     return k if symbols.is_finite_order(k) else "inf"
 
 
+def _table_citation(dim: int) -> str:
+    return "self-map-table-vanishing-5-7" if dim in (5, 6, 7) else "self-map-table-dimension-8"
+
+
 # -- subcommand handlers ------------------------------------------------------
 
 
@@ -91,7 +105,7 @@ def _run_codim(args) -> dict:
     intermediates = {
         "firstOrderCodim": first,
         "bound": bound,
-        "tailSum": sum(e * (e + 1) for e in symbol.entries[1:]) // 2,
+        "tailSum": bound - first,
         "length": len(symbol),
     }
     if symbols.is_finite_order(ctx.k):
@@ -140,15 +154,12 @@ def _run_wtable(args) -> dict:
     obstruction = charclass.w_table_polynomial(args.p, bundle)
     inputs["p"] = args.p
     intermediates = {"obstruction": _obstruction_dict(obstruction)}
-    citations = [
-        "self-map-table-vanishing-5-7" if args.p in (5, 6, 7) else "self-map-table-dimension-8"
-    ]
     return _report(
         "wtable",
         inputs,
         intermediates,
         "Zero" if obstruction.is_zero else "Nonzero",
-        citations,
+        [_table_citation(args.p)],
     )
 
 
@@ -182,7 +193,7 @@ def _run_verdict(args) -> dict:
     }
     citations = ["nonexistence-from-nonvanishing-obstruction"]
     if report.route == criteria.ROUTE_W_TABLE:
-        citations.append("self-map-table-dimension-8" if dims[0] == 8 else "self-map-table-vanishing-5-7")
+        citations.append(_table_citation(dims[0]))
     else:
         citations.extend(["w-stratum-inclusion-inequality", "dimension-shift-stabilization"])
     return _report("verdict", inputs, intermediates, report.verdict, citations)

@@ -48,19 +48,21 @@ class CriterionReport:
         return self.verdict == ESTABLISHED
 
 
+def _check_order(k) -> None:
+    if is_finite_order(k) and (not is_integer(k) or k < 1):
+        raise BadInput(f"jet order must be a positive integer or inf, got {k!r}")
+
+
 def _k_at_least(k, bound: int) -> bool:
-    if is_finite_order(k):
-        if not is_integer(k) or k < 1:
-            raise BadInput(f"jet order must be a positive integer or inf, got {k!r}")
-        return k >= bound
-    return True
+    return not is_finite_order(k) or k >= bound
 
 
 def _inclusion_lhs(n: int, p: int, i: int) -> int:
     return (p - n + i) * (i * (i + 1) // 2 - p + n) - i * i
 
 
-def _check_core(n: int, p: int, i: int) -> None:
+def _check_inputs(n: int, p: int, i: int, ell: int, k) -> None:
+    """Checked in order: the core (n, p, i), the budget, the jet order."""
     for name, value in (("n", n), ("p", p), ("i", i)):
         if not is_integer(value):
             raise BadInput(f"{name} must be an integer, got {value!r}")
@@ -70,6 +72,9 @@ def _check_core(n: int, p: int, i: int) -> None:
         raise BadInput(f"kernel rank must be positive, got i={i}")
     if p - n + i < 0:
         raise BadInput(f"p-n+i = {p - n + i} is negative: the stratum is empty")
+    if not is_integer(ell) or ell < 0:
+        raise BadInput(f"codimension budget must be a nonnegative integer, got {ell!r}")
+    _check_order(k)
 
 
 def nonstable_inclusion(n: int, p: int, i: int, k) -> CriterionReport:
@@ -85,9 +90,7 @@ def w_inclusion(n: int, p: int, i: int, ell: int, k) -> CriterionReport:
     codimension above ell: established when lhs >= n + ell and k >= p+ell+1.
     For n = p the left side simplifies to i^2(i-1)/2.
     """
-    _check_core(n, p, i)
-    if not is_integer(ell) or ell < 0:
-        raise BadInput(f"codimension budget must be a nonnegative integer, got {ell!r}")
+    _check_inputs(n, p, i, ell, k)
     lhs = _inclusion_lhs(n, p, i)
     if n == p and lhs != i * i * (i - 1) // 2:
         raise ConsistencyError("equal-dimension simplification of the inclusion bound failed")
@@ -110,9 +113,7 @@ def stabilized_w_inclusion(n: int, p: int, i: int, ell: int, k) -> CriterionRepo
     and p-m >= 2 when n >= p.  Both requirements weaken as m grows, so the
     smallest working shift is read off in closed form.
     """
-    _check_core(n, p, i)
-    if not is_integer(ell) or ell < 0:
-        raise BadInput(f"codimension budget must be a nonnegative integer, got {ell!r}")
+    _check_inputs(n, p, i, ell, k)
     top = n - i if n < p else min(n - i, p - 2)
     if top >= 0:
         report = w_inclusion(n, p, i, ell, k)
@@ -198,6 +199,7 @@ def nonexistence_verdict(
                 "table route needs a self-map of a 5..8-manifold with budget one below "
                 "the dimension"
             )
+        _check_order(k)
         k_required = dim_m + 2
         k_ok = _k_at_least(k, k_required)
         criterion = CriterionReport(

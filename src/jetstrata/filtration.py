@@ -28,7 +28,7 @@ from .gring import (
     is_integer,
     kunneth_product,
 )
-from .symbols import INFINITE_ORDER, JetContext
+from .symbols import JetContext
 
 
 class FiltrationError(ValueError):
@@ -107,17 +107,6 @@ class FiltrationRun:
     injections: tuple[RingMap, ...]
 
 
-def _stage_context(dim: int) -> JetContext:
-    return JetContext(dim, dim, INFINITE_ORDER)
-
-
-def stage_obstruction(kernel_rank: int, bundle: VirtualBundle) -> ObstructionClass:
-    """Even-stratum determinant class of a stage bundle on its own ring."""
-    return porteous_pontrjagin(
-        kernel_rank, _stage_context(bundle.ring.top_dim), bundle
-    )
-
-
 def build_run(depth: int, schedule, stage_bundles) -> FiltrationRun:
     """Assemble and verify a filtration run.
 
@@ -160,7 +149,7 @@ def build_run(depth: int, schedule, stage_bundles) -> FiltrationRun:
             )
         if not 4 * index**3 - 2 * index**2 >= 4 * index**2 + schedule[t]:
             raise ConsistencyError("stage index fails its own defining inequality")
-        obstruction = stage_obstruction(2 * index, bundle)
+        obstruction = porteous_pontrjagin(2 * index, JetContext(dim, dim), bundle)
         if obstruction.is_zero:
             raise StageObstructionVanishes(
                 f"stage {t} determinant class of kernel rank {2 * index} vanishes"
@@ -197,9 +186,7 @@ def product_obstruction(run: FiltrationRun, t: int) -> ObstructionClass:
             total_negative = total_negative * inject(stage.bundle.total_positive)
     bundle = VirtualBundle(total_positive, total_negative)
     stage = run.stages[t]
-    obstruction = porteous_pontrjagin(
-        stage.kernel_rank, _stage_context(ring.top_dim), bundle
-    )
+    obstruction = porteous_pontrjagin(stage.kernel_rank, JetContext(ring.top_dim, ring.top_dim), bundle)
     pulled = run.injections[t](stage.obstruction.value)
     if obstruction.value != pulled:
         raise ConsistencyError(

@@ -27,12 +27,10 @@ class CoefficientMode(Enum):
 
     @classmethod
     def parse(cls, value) -> "CoefficientMode":
-        if isinstance(value, cls):
-            return value
-        for member in cls:
-            if member.value == value:
-                return member
-        raise PresentationError(f"unknown coefficient mode: {value!r}")
+        try:
+            return cls(value)
+        except ValueError:
+            raise PresentationError(f"unknown coefficient mode: {value!r}") from None
 
 
 class GringError(ValueError):
@@ -476,6 +474,8 @@ def invert_total_class(c: GradedElement, through: int | None = None) -> GradedEl
     degree-d part depends only on parts of degree <= d, so stopping at
     ``through`` changes nothing below it.
     """
+    if through is not None and (not is_integer(through) or through < 0):
+        raise ValueError("through must be None or a nonnegative integer")
     ring = c.ring
     if c.component(0) != ring.unit():
         raise NotAUnit("total class must have degree-0 component equal to 1")

@@ -5,7 +5,6 @@ verify itself without the test suite installed.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -64,25 +63,6 @@ def _corpus_matrices(ring):
     ]
 
 
-def _check(name: str):
-    """A check whose body returns None on success or a failure detail; a
-    ValueError or ConsistencyError it raises becomes a failure too."""
-
-    def wrap(body):
-        @functools.wraps(body)
-        def check(*args, **kwargs) -> CheckResult:
-            try:
-                detail = body(*args, **kwargs)
-            except (ValueError, gring.ConsistencyError) as error:
-                detail = f"{type(error).__name__}: {error}"
-            return CheckResult(name, detail is None, detail or "")
-
-        return check
-
-    return wrap
-
-
-@_check("determinant-vs-permutation-sum")
 def check_determinant_oracle():
     ring = gring.make_ring(CANONICAL_SURFACE_SPEC)
     for matrix in _corpus_matrices(ring):
@@ -90,7 +70,6 @@ def check_determinant_oracle():
             return f"disagreement on a {len(matrix)}x{len(matrix)} matrix"
 
 
-@_check("ring-fixture-invariants")
 def check_ring_fixture(spec=None):
     ring = gring.make_ring(spec or CANONICAL_SURFACE_SPEC)
     x = ring.basis_element("x")
@@ -100,7 +79,6 @@ def check_ring_fixture(spec=None):
         return "cube of the generator fails to truncate"
 
 
-@_check("tensor-ring-identities")
 def check_kunneth_identities():
     left = gring.make_ring(CANONICAL_SURFACE_SPEC)
     right = gring.make_ring(CANONICAL_SURFACE_SPEC)
@@ -115,7 +93,6 @@ def check_kunneth_identities():
             return "factor injection loses rank in some degree"
 
 
-@_check("total-class-inverse-involution")
 def check_inverse_involution():
     ring = gring.make_ring(CANONICAL_SURFACE_SPEC)
     for c_x, c_x2 in [(0, 0), (1, 0), (0, 3), (2, -5), (-7, 11)]:
@@ -127,7 +104,6 @@ def check_inverse_involution():
             return "double inverse differs from the original"
 
 
-@_check("equal-dimension-inequality-simplification")
 def check_inequality_simplification():
     for i in range(1, 21):
         report = criteria.w_inclusion(10, 10, i, 0, 100)
@@ -139,7 +115,6 @@ def check_inequality_simplification():
             return f"cubic bound wrong at i={i}"
 
 
-@_check("virtual-total-consistency")
 def check_whitney_consistency():
     ring = gring.make_ring(CANONICAL_SURFACE_SPEC)
     # Only the degree-4 slot is available to integer-mode bundle totals here.
@@ -150,7 +125,6 @@ def check_whitney_consistency():
         return "virtual total times negative total is not the positive total"
 
 
-@_check("stage-index-recursion")
 def check_index_recursion():
     if filtration.next_index(0) != 2:
         return "smallest index at budget 0 is not 2"
@@ -162,16 +136,26 @@ def check_index_recursion():
         previous = value
 
 
-ALL_CHECKS = (
-    check_determinant_oracle,
-    check_ring_fixture,
-    check_kunneth_identities,
-    check_inverse_involution,
-    check_inequality_simplification,
-    check_whitney_consistency,
-    check_index_recursion,
-)
+ALL_CHECKS = [
+    ("determinant-vs-permutation-sum", check_determinant_oracle),
+    ("ring-fixture-invariants", check_ring_fixture),
+    ("tensor-ring-identities", check_kunneth_identities),
+    ("total-class-inverse-involution", check_inverse_involution),
+    ("equal-dimension-inequality-simplification", check_inequality_simplification),
+    ("virtual-total-consistency", check_whitney_consistency),
+    ("stage-index-recursion", check_index_recursion),
+]
 
 
 def run_selfcheck() -> list[CheckResult]:
-    return [check() for check in ALL_CHECKS]
+    """Run every check.  A check returns None when it passes; one that
+    returns a failure detail, or raises a ValueError or ConsistencyError,
+    fails."""
+    results = []
+    for name, check in ALL_CHECKS:
+        try:
+            detail = check()
+        except (ValueError, gring.ConsistencyError) as error:
+            detail = f"{type(error).__name__}: {error}"
+        results.append(CheckResult(name, detail is None, detail or ""))
+    return results

@@ -172,15 +172,13 @@ def codim_lower_bound(sym: BoardmanSymbol, ctx: JetContext) -> int:
     consecutive integers pair up, so the result is an exact integer.
     """
     first = sym.entries[0]
-    if first > ctx.n:
-        raise ExceedsSource(f"leading entry {first} exceeds source dimension {ctx.n}")
     floor = max(ctx.n - ctx.p + 1, 1)
     if first < floor:
         raise HypothesisViolated(
             f"leading entry {first} below max(n-p+1, 1) = {floor}"
         )
     tail = sum(e * (e + 1) for e in sym.entries[1:])
-    return (ctx.p - ctx.n + first) * first + tail // 2
+    return first_order_codim(first, ctx) + tail // 2
 
 
 def tail_vanishing(sym: BoardmanSymbol, ctx: JetContext) -> bool:

@@ -659,6 +659,27 @@ def test_deeply_nested_json_exits_2_naming_the_limit(capsys, tmp_path, bundle_fi
     assert err.startswith("PresentationError") and "nests deeper" in err
 
 
+def test_repeated_json_key_exits_2_naming_file_and_key(capsys, tmp_path, ring_file):
+    path = tmp_path / "bundle.json"
+    # json.load alone would keep only the second total; the first must not vanish silently.
+    path.write_text(
+        '{"totalPositive": [{"label": "1", "coeff": 1}, {"label": "x2", "coeff": 3}],'
+        ' "totalPositive": [{"label": "1", "coeff": 1}],'
+        ' "totalNegativePulled": [{"label": "1", "coeff": 1}]}',
+        encoding="utf-8",
+    )
+    status, out, err = run_cli(
+        capsys,
+        "porteous", "--variant", "pontrjagin",
+        "--ring", str(ring_file), "--bundle", str(path),
+        "--i", "2", "--n", "4", "--p", "4",
+    )
+    assert status == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"PresentationError: {path}: repeated key 'totalPositive'")
+
+
 def test_porteous_sw_command(capsys, tmp_path):
     ring_spec = {
         "mode": "mod2",
@@ -750,16 +771,13 @@ def test_selfcheck_detects_corrupted_fixture():
         "products": [{"a": "x", "b": "x", "result": [{"label": "x", "coeff": 1}]}],
         "fundamental": "x2",
     }
-    result = check_ring_fixture(corrupted)
-    assert not result.passed
-    assert "PresentationError" in result.detail
+    with pytest.raises(gring.PresentationError):
+        check_ring_fixture(corrupted)
 
     weaker = dict(corrupted)
     weaker["products"] = [{"a": "x", "b": "x", "result": [{"label": "x2", "coeff": 2}]}]
-    result = check_ring_fixture(weaker)
-    assert not result.passed
-    assert "pairing" in result.detail
+    assert "pairing" in check_ring_fixture(weaker)
 
 
 def test_determinant_oracle_check_runs():
-    assert check_determinant_oracle().passed
+    assert check_determinant_oracle() is None

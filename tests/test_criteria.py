@@ -124,6 +124,13 @@ def test_stabilized_rank_above_source():
     assert "every shift" in report.notes
 
 
+@pytest.mark.parametrize("k", [0, -1, True, "seven"])
+def test_stabilized_refuses_a_bad_jet_order_with_no_admissible_shift(k):
+    # i > n leaves no shift to try, so only the entry check sees k.
+    with pytest.raises(BadInput, match="jet order"):
+        stabilized_w_inclusion(1, 5, 3, 0, k)
+
+
 def test_stabilized_replays_as_direct_inclusion():
     for n, p, i, ell in [(20, 20, 3, 1), (32, 32, 4, 8), (14, 14, 4, 3)]:
         report = stabilized_w_inclusion(n, p, i, ell, 10**6)
@@ -283,6 +290,16 @@ def test_verdict_requires_declared_orientation():
     report = nonexistence_verdict(bundle, 4, 0, 100, (16, 16))
     assert report.verdict == INCONCLUSIVE
     assert any("orientation" in note for note in report.notes)
+
+
+@pytest.mark.parametrize(
+    "mode, orientable", [("mod2", True), ("integer_mod_torsion", False)], ids=["mod2", "unoriented-integer"]
+)
+def test_verdict_refuses_a_bad_jet_order_when_the_rank_exceeds_the_source(mode, orientable):
+    ring = truncated_polynomial_ring(mode, 8, [("t", 4)], orientable=orientable)
+    bundle = VirtualBundle(ring.unit(), ring.unit())
+    with pytest.raises(BadInput, match="jet order"):
+        nonexistence_verdict(bundle, 9, 0, 0, (8, 8))
 
 
 def test_verdict_mode_checks():

@@ -16,7 +16,6 @@ from jetstrata.filtration import (
     double_construction,
     next_index,
     product_obstruction,
-    stage_obstruction,
 )
 from jetstrata.gring import (
     ManifoldRing,
@@ -268,12 +267,6 @@ def test_zero_stage_gives_zero_product_obstruction():
     product, inject = kunneth_product(ring)
     run = FiltrationRun(0, (8, 9), (stage,), product, (inject,))
     assert product_obstruction(run, 0).is_zero
-
-
-def test_stage_obstruction_helper_matches_direct_computation():
-    bundle = chain_bundle(32, {1: 2, 2: 5})
-    direct = porteous_pontrjagin(4, JetContext(32, 32, INFINITE_ORDER), bundle)
-    assert stage_obstruction(4, bundle).value == direct.value
 
 
 def free_even_ring(top_dim, prefix):

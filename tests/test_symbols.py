@@ -8,7 +8,7 @@ import pytest
 from jetstrata import symbols
 from jetstrata.charclass import CharClassError, VirtualBundle, porteous_pontrjagin, porteous_sw
 from jetstrata.filtration import FiltrationError, StageOutOfRange, build_run, next_index, product_obstruction
-from jetstrata.gring import truncated_polynomial_ring
+from jetstrata.gring import invert_total_class, truncated_polynomial_ring
 from jetstrata.symbols import (
     INFINITE_ORDER,
     BoardmanSymbol,
@@ -285,6 +285,8 @@ BOOL_ARGUMENTS = {
     "product_obstruction": (lambda: product_obstruction(_product_run(), False), StageOutOfRange, "stage False"),
     "next_index": (lambda: next_index(True), FiltrationError, "budget"),
     "element power": (lambda: _integer_bundle().ring.basis_element("t") ** True, ValueError, "exponent"),
+    "invert_total_class through": (lambda: invert_total_class(_integer_bundle().ring.unit(), True), ValueError, "through"),
+    "virtual_total through": (lambda: _integer_bundle().virtual_total(True), ValueError, "through"),
 }
 
 
@@ -293,3 +295,12 @@ def test_bools_are_not_integer_arguments(name):
     call, error, named = BOOL_ARGUMENTS[name]
     with pytest.raises(error, match=named):
         call()
+
+
+@pytest.mark.parametrize("through", [-1, "x"])
+def test_through_must_be_a_nonnegative_integer(through):
+    bundle = _integer_bundle()
+    with pytest.raises(ValueError, match="through"):
+        invert_total_class(bundle.total_negative_pulled, through)
+    with pytest.raises(ValueError, match="through"):
+        bundle.virtual_total(through)
