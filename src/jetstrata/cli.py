@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import accumulate, repeat
+from operator import itemgetter
 
 from . import charclass, criteria, filtration, gring, selfcheck, symbols
 
@@ -31,6 +33,8 @@ def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle, object_pairs_hook=unique_keys)
+        except (json.JSONDecodeError, UnicodeDecodeError) as error:
+            raise gring.PresentationError(f"{path}: {error}") from None
         except RecursionError:
             raise gring.PresentationError(
                 f"{path}: JSON nests deeper than the parser's limit of about "
@@ -54,13 +58,62 @@ def _report(command: str, inputs: dict, intermediates: dict, verdict, citations:
     }
 
 
+# The compact report text is laid out in chunks of about this many
+# characters, so the lists built along the way stay small.
+EMIT_CHUNK_CHARS = 1 << 16
+# Stand-ins for brackets inside strings and for the escapes \\ and \"; the
+# encoder escapes every control character inside a string, so none of them
+# occurs in its text.  \x0e marks the first line inside a container.
+_HIDE = str.maketrans("[]{}", "\x01\x02\x03\x04")
+_SHOW = str.maketrans({"\x01": "[", "\x02": "]", "\x03": "{", "\x04": "}", "\x05": "\\\\", "\x06": '\\"'})
+_STEP = {"\x0e": 1, "]": -1, "}": -1}
+
+
 def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """Write ``json.dumps(report, indent=2, sort_keys=True,
+    ensure_ascii=False)`` and a newline, in one write."""
+    compact = json.dumps(report, sort_keys=True, ensure_ascii=False, separators=(",\n", ": "))
+    # Every raw newline of the compact text ends an item, so chunks cut at
+    # newlines are laid out one by one, carrying the depth.
+    leads, pieces, depth, start = ["\n"], [], 0, 0
+    while start <= len(compact):
+        end = compact.find("\n", start + EMIT_CHUNK_CHARS)
+        if end < 0:
+            end = len(compact)
+        piece, depth = _layout(compact[start:end], depth, leads)
+        pieces.append(piece)
+        start = end + 1
+    pieces[0] = pieces[0][1:]
+    pieces.append("\n")
+    text = "".join(pieces)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _layout(chunk: str, depth: int, leads: list[str]) -> tuple[str, int]:
+    """Each line of the indent=2 layout of ``chunk`` after a newline and the
+    indentation of its depth, ``leads[depth]``, and the depth after it."""
+    parts = chunk.replace("\\\\", "\x05").replace('\\"', "\x06").split('"')
+    strings = "".join(parts[1::2])
+    hidden = any(bracket in strings for bracket in "[]{}")
+    if hidden:
+        parts[1::2] = [string.translate(_HIDE) for string in parts[1::2]]
+        chunk = '"'.join(parts)
+    lines = (
+        chunk.replace("[", "[\n\x0e").replace("{", "{\n\x0e").replace("]", "\n]").replace("}", "\n}")
+        .replace("[\n\x0e\n]", "[]").replace("{\n\x0e\n}", "{}").split("\n")
+    )
+    depths = list(accumulate(map(_STEP.get, map(itemgetter(0), lines), repeat(0)), initial=depth))
+    while len(leads) <= max(depths):
+        leads.append(leads[-1] + "  ")
+    laid = [""] * (2 * len(lines))
+    laid[::2] = map(leads.__getitem__, depths[1:])
+    laid[1::2] = lines
+    text = "".join(laid).replace("\x0e", "")
+    return text.translate(_SHOW) if hidden else text, depths[-1]
 
 
 def _criterion_dict(report: criteria.CriterionReport) -> dict:

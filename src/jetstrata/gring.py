@@ -18,7 +18,8 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class CoefficientMode(Enum):
@@ -252,60 +253,67 @@ class ManifoldRing:
             return ((i, 1),)
         return self._table.get((i, j) if i <= j else (j, i), ())
 
-    def _bounded_triples(self) -> Iterator[tuple[int, int, int]]:
+    def _triple_slices(self) -> Iterator[tuple[int, int, list[int]]]:
         """Non-unit position triples x <= y <= z whose degrees sum to at most
-        top_dim, in the order of ``combinations_with_replacement``; past
-        MAX_ASSOC_TRIPLES of them, a PresentationError before the first."""
-        nonunit = [p for p in range(len(self.labels)) if p != self.unit_position]
-        degrees = [self.degrees[p] for p in nonunit]
-        positions, top = list(range(len(nonunit))), self.top_dim
-        # within[b]: the positions of degree at most bounds[b], ascending;
-        # degree 0 holds only the unit, so within[0] is empty.
-        bounds = [0, *sorted(set(degrees))]
-        within = [[k for k in positions if degrees[k] <= bound] for bound in bounds]
+        top_dim, one (x, y, [z, ...]) per pair that has a z, in the order of
+        ``combinations_with_replacement``; past MAX_ASSOC_TRIPLES triples, a
+        PresentationError before the first."""
+        degrees, top = self.degrees, self.top_dim
+        nonunit = [p for p in range(len(degrees)) if p != self.unit_position]
+        # within[b]: the non-unit positions of degree at most bounds[b],
+        # ascending; degree 0 holds only the unit, so within[0] is empty.
+        bounds = [0, *sorted({degrees[p] for p in nonunit})]
+        within = [[p for p in nonunit if degrees[p] <= bound] for bound in bounds]
 
-        def from_position(start: int, bound: int) -> tuple[list[int], int]:
-            # ks[lo:] holds the positions from start on of degree at most bound.
-            ks = within[bisect_right(bounds, bound) - 1]
-            return ks, bisect_left(ks, start)
+        def pairs() -> Iterator[tuple[int, int, list[int], int]]:
+            # zs[lo:] holds the positions from y on of degree at most
+            # top - deg x - deg y; ys likewise from x on.
+            for x in nonunit:
+                bound = top - degrees[x]
+                ys = within[bisect_right(bounds, bound) - 1]
+                for y in ys[bisect_left(ys, x):]:
+                    zs = within[bisect_right(bounds, bound - degrees[y]) - 1]
+                    yield x, y, zs, bisect_left(zs, y)
 
-        def slices() -> Iterator[tuple[int, int, list[int], int]]:
-            for i in positions:
-                js, lo = from_position(i, top - degrees[i])
-                for j in js[lo:]:
-                    yield i, j, *from_position(j, top - degrees[i] - degrees[j])
-
-        if sum(len(ks) - lo for _, _, ks, lo in slices()) > MAX_ASSOC_TRIPLES:
+        if sum(len(zs) - lo for _, _, zs, lo in pairs()) > MAX_ASSOC_TRIPLES:
             raise PresentationError(f"associativity check exceeds the cap MAX_ASSOC_TRIPLES = {MAX_ASSOC_TRIPLES} triples")
-        yield from ((nonunit[i], nonunit[j], nonunit[k]) for i, j, ks, lo in slices() for k in ks[lo:])
+        for x, y, zs, lo in pairs():
+            if lo < len(zs):
+                yield x, y, zs[lo:]
+
+    def _bounded_triples(self) -> Iterator[tuple[int, int, int]]:
+        """The triples of ``_triple_slices``, one at a time."""
+        return ((x, y, z) for x, y, zs in self._triple_slices() for z in zs)
 
     def _verify_associativity(self) -> None:
         # Triples with total degree above top_dim associate trivially (both
         # sides truncate), so only bounded-degree triples are enumerated.
         # Each side is compared as a normalized term tuple, by position.
         rows: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in self.labels]
-        for (i, j), packed in self._table.items():
-            rows[i][j] = rows[j][i] = packed
         normal = self._normal
 
-        def times(terms: tuple[tuple[int, int], ...], z: int) -> tuple[tuple[int, int], ...]:
-            if not terms:
-                return ()
-            if len(terms) == 1:
-                t, c = terms[0]
-                row = rows[t].get(z, ())
-                return row if c == 1 else tuple([(u, c * d) for u, d in row])
+        def times(terms: tuple[tuple[int, int], ...], z: int, default=()) -> tuple[tuple[int, int], ...]:
             acc: dict[int, int] = {}
             for t, c in terms:
                 for u, d in rows[t].get(z, ()):
                     acc[u] = acc.get(u, 0) + c * d
             return tuple(sorted((u, v) for u, v in ((u, normal(v)) for u, v in acc.items()) if v))
 
-        for x, y, z in self._bounded_triples():
-            row = rows[x]
-            if not (times(row.get(y, ()), z) == times(row.get(z, ()), y) == times(rows[y].get(z, ()), x)):
-                x, y, z = (self.labels[p] for p in (x, y, z))
-                raise NonAssociative(f"products of {x!r}, {y!r}, {z!r} do not associate")
+        # by[i][j](z, ()) is (i*j)*z, called like dict.get: a product that is
+        # one basis element with coefficient 1 multiplies by its row.
+        by: list[dict[int, Callable]] = [{} for _ in self.labels]
+        for (i, j), packed in self._table.items():
+            rows[i][j] = rows[j][i] = packed
+            (t, c), *rest = packed
+            by[i][j] = by[j][i] = rows[t].get if c == 1 and not rest else partial(times, packed)
+        zero = {}.get
+        for x, y, zs in self._triple_slices():
+            by_x, by_y = by[x], by[y]
+            xy = by_x.get(y, zero)
+            for z in zs:
+                if not (xy(z, ()) == by_x.get(z, zero)(y, ()) == by_y.get(z, zero)(x, ())):
+                    x, y, z = (self.labels[p] for p in (x, y, z))
+                    raise NonAssociative(f"products of {x!r}, {y!r}, {z!r} do not associate")
 
     # -- elements ----------------------------------------------------------
 

@@ -680,6 +680,23 @@ def test_repeated_json_key_exits_2_naming_file_and_key(capsys, tmp_path, ring_fi
     assert err.startswith(f"PresentationError: {path}: repeated key 'totalPositive'")
 
 
+@pytest.mark.parametrize("content", [b"{", b"\xff"], ids=["not-json", "not-utf-8"])
+@pytest.mark.parametrize("option", ["--ring", "--bundle", "--spec"])
+def test_undecodable_input_file_exits_2_naming_it(capsys, tmp_path, ring_file, bundle_file, option, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    if option == "--spec":
+        argv = ["filtration", "run", "--spec", str(path)]
+    else:
+        files = {"--ring": str(ring_file), "--bundle": str(bundle_file), option: str(path)}
+        argv = ["porteous", "--variant", "pontrjagin", "--ring", files["--ring"], "--bundle", files["--bundle"],
+                "--i", "2", "--n", "4", "--p", "4"]
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith(f"PresentationError: {path}: ")
+
+
 def test_porteous_sw_command(capsys, tmp_path):
     ring_spec = {
         "mode": "mod2",

@@ -1,0 +1,94 @@
+"""The report emitter.
+
+Its bytes are exactly ``json.dumps(report, indent=2, sort_keys=True,
+ensure_ascii=False) + "\\n"`` for any JSON value, at every chunk size, and a
+report that cannot be written fails as that one-shot text would: in one
+write, naming the same position, writing nothing.
+"""
+
+import contextlib
+import io
+import json
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from jetstrata import cli, gring
+
+from test_cli import run_cli, write_json
+
+
+def emitted(value) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(value, None)
+    return out.getvalue()
+
+
+def indented(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+# Brackets, quotes, backslashes and the escapes they form, control
+# characters, line separators the encoding leaves raw, a lone surrogate and
+# a character outside the BMP, among any others.
+_CHARS = st.sampled_from(list('[]{}"\\,: \n\t\x00\x1f\x7f\u2028\u2029\ud800\U0001f600é')) | st.characters()
+_TEXT = st.text(_CHARS, max_size=8) | st.sampled_from(['\\"', '"[', "]\\", "[]", "{}", '\\\\"'])
+_SCALARS = st.none() | st.booleans() | st.integers() | st.integers(-(10**60), 10**60) | st.floats() | _TEXT
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+def _nest(value_and_keys):
+    # A key nests the value in a one-entry object, None in a one-item list.
+    value, keys = value_and_keys
+    for key in keys:
+        value = [value] if key is None else {key: value}
+    return value
+
+
+_DEEP = st.tuples(_JSON, st.lists(st.none() | _TEXT, min_size=50, max_size=80)).map(_nest)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, cli.EMIT_CHUNK_CHARS])
+@settings(max_examples=60)
+@given(value=_JSON | _DEEP)
+def test_emitter_matches_indented_json_dumps(chunk, value):
+    with mock.patch.object(cli, "EMIT_CHUNK_CHARS", chunk):
+        assert emitted(value) == indented(value)
+
+
+@pytest.mark.parametrize("chunk", [1000, cli.EMIT_CHUNK_CHARS])
+def test_unencodable_report_fails_as_the_one_shot_text(capsys, tmp_path, chunk):
+    # A lone surrogate is a legal JSON label but cannot be written as UTF-8;
+    # the report spans several chunks, and at the smaller size the label
+    # first appears past the first chunk.
+    spec = gring.truncated_polynomial_ring("mod2", 120, [("w", 1)]).serialize()
+    ring_path, bundle_path = tmp_path / "ring.json", tmp_path / "bundle.json"
+    write_json(ring_path, json.loads(json.dumps(spec).replace('"w^60"', '"\\ud800"')))
+    write_json(bundle_path, {"totalPositive": [{"label": "1", "coeff": 1}], "totalNegativePulled": [{"label": "1", "coeff": 1}]})
+    argv = ["porteous", "--variant", "sw", "--ring", str(ring_path), "--bundle", str(bundle_path),
+            "--i", "1", "--n", "3", "--p", "3"]
+    args = cli._build_parser().parse_args(argv)
+    report = args.handler(args)
+    compact = json.dumps(report, sort_keys=True, ensure_ascii=False, separators=(",\n", ": "))
+    assert len(compact) > 3 * cli.EMIT_CHUNK_CHARS
+    assert compact.index("\ud800") > 1000
+    with pytest.raises(UnicodeEncodeError) as raised:
+        indented(report).encode("utf-8")
+    with mock.patch.object(cli, "EMIT_CHUNK_CHARS", chunk):
+        assert run_cli(capsys, *argv) == (2, "", f"UnicodeEncodeError: {raised.value}\n")
+
+
+def test_unprintable_report_creates_no_out_file(capsys, tmp_path):
+    out_path = tmp_path / "report.json"
+    status, out, err = run_cli(
+        capsys, "criteria", "w", "--n", "5", "--p", "5", "--i", str(10**1500), "--k", "inf", "--out", str(out_path)
+    )
+    assert (status, out) == (2, "")
+    assert err.startswith("ValueError: Exceeds the limit") and err.count("\n") == 1
+    assert not out_path.exists()

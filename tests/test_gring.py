@@ -129,6 +129,25 @@ def test_bounded_triples_match_filtered_brute_force():
         assert 0 < len(bounded) < len(every)
         triples = [tuple(ring.labels[p] for p in t) for t in ring._bounded_triples()]
         assert triples == bounded
+        # The triples are the slices flattened, one slice per pair, in order.
+        pairs = [(x, y) for x, y, _ in ring._triple_slices()]
+        assert pairs == sorted(set(pairs))
+
+
+def test_first_failing_triple_is_named_from_the_middle_of_a_slice():
+    # Slices (a, a, [a, b]), (a, b, [b]), (b, b, [b]).  a*a = c + d takes
+    # more than one term and a*d = 2t a coefficient other than 1:
+    # (a*a)*a = 3t on every side, but (a*a)*b = 2t while (a*b)*a = t, and
+    # (a*b)*b = t while (b*b)*a = 2t fails in a later slice.
+    basis = [("1", 0), ("a", 2), ("b", 2), ("c", 4), ("d", 4), ("t", 6)]
+    products = {
+        ("a", "a"): {"c": 1, "d": 1}, ("a", "b"): {"c": 1}, ("b", "b"): {"d": 1},
+        ("a", "c"): {"t": 1}, ("a", "d"): {"t": 2}, ("b", "c"): {"t": 1}, ("b", "d"): {"t": 1},
+    }
+    ring = ManifoldRing("integer_mod_torsion", 6, basis, products, "t", verify=False)
+    assert [(x, y, list(zs)) for x, y, zs in ring._triple_slices()] == [(1, 1, [1, 2]), (1, 2, [2]), (2, 2, [2])]
+    with pytest.raises(NonAssociative, match="^products of 'a', 'a', 'b' do not associate$"):
+        ManifoldRing("integer_mod_torsion", 6, basis, products, "t")
 
 
 def test_associativity_triple_cap_is_exact(monkeypatch):
