@@ -95,15 +95,8 @@ class VirtualBundle:
 
     def virtual_total(self, through: int | None = None) -> GradedElement:
         """Total class of the difference bundle through degree ``through``
-        (all degrees when None), zero above it.
-
-        Parts above the bound are dropped from both factors first: the
-        degree-d part of a product depends only on the factors' parts of
-        degree <= d.
-        """
-        inverse = invert_total_class(self.total_negative_pulled, through)
-        bound = self.ring.top_dim if through is None else min(through, self.ring.top_dim)
-        return (self.total_positive.truncated(bound) * inverse).truncated(bound)
+        (all degrees when None), zero above it."""
+        return invert_total_class(self.total_negative_pulled, through, self.total_positive)
 
 
 def _class_degree(bundle: VirtualBundle, j: int) -> int:

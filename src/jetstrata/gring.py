@@ -261,18 +261,24 @@ class ManifoldRing:
         degrees, top = self.degrees, self.top_dim
         nonunit = [p for p in range(len(degrees)) if p != self.unit_position]
         # within[b]: the non-unit positions of degree at most bounds[b],
-        # ascending; degree 0 holds only the unit, so within[0] is empty.
+        # ascending; degree 0 holds only the unit, so within[0] is empty, and
+        # at_most reads it for a negative bound too.
         bounds = [0, *sorted({degrees[p] for p in nonunit})]
+        least = bounds[1] if nonunit else 0
         within = [[p for p in nonunit if degrees[p] <= bound] for bound in bounds]
+
+        def at_most(bound: int) -> list[int]:
+            return within[max(bisect_right(bounds, bound) - 1, 0)]
 
         def pairs() -> Iterator[tuple[int, int, list[int], int]]:
             # zs[lo:] holds the positions from y on of degree at most
-            # top - deg x - deg y; ys likewise from x on.
+            # top - deg x - deg y; ys likewise from x on, of degree at most
+            # top - deg x - least, since a larger y leaves no z.
             for x in nonunit:
                 bound = top - degrees[x]
-                ys = within[bisect_right(bounds, bound) - 1]
+                ys = at_most(bound - least)
                 for y in ys[bisect_left(ys, x):]:
-                    zs = within[bisect_right(bounds, bound - degrees[y]) - 1]
+                    zs = at_most(bound - degrees[y])
                     yield x, y, zs, bisect_left(zs, y)
 
         if sum(len(zs) - lo for _, _, zs, lo in pairs()) > MAX_ASSOC_TRIPLES:
@@ -280,10 +286,6 @@ class ManifoldRing:
         for x, y, zs, lo in pairs():
             if lo < len(zs):
                 yield x, y, zs[lo:]
-
-    def _bounded_triples(self) -> Iterator[tuple[int, int, int]]:
-        """The triples of ``_triple_slices``, one at a time."""
-        return ((x, y, z) for x, y, zs in self._triple_slices() for z in zs)
 
     def _verify_associativity(self) -> None:
         # Triples with total degree above top_dim associate trivially (both
@@ -431,14 +433,6 @@ class GradedElement:
             return self * other
         return NotImplemented
 
-    def __pow__(self, exponent: int) -> "GradedElement":
-        if not is_integer(exponent) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = self.ring.unit()
-        for _ in range(exponent):
-            out = out * self
-        return out
-
     def component(self, degree: int) -> "GradedElement":
         deg = self.ring.degrees
         return GradedElement(self.ring, {p: c for p, c in self.coeffs.items() if deg[p] == degree})
@@ -471,34 +465,39 @@ def pair_fundamental(c: GradedElement) -> int:
     return c.coeffs.get(c.ring.fundamental_position, 0)
 
 
-def invert_total_class(c: GradedElement, through: int | None = None) -> GradedElement:
-    """Formal inverse of a total class with unit leading term, exact in every
-    degree up to ``through`` (all degrees when None) and zero above it.
+def invert_total_class(
+    c: GradedElement, through: int | None = None, numerator: GradedElement | None = None
+) -> GradedElement:
+    """The quotient ``numerator`` / ``c`` of a total class with unit leading
+    term, exact in every degree up to ``through`` (all degrees when None) and
+    zero above it.  The numerator defaults to the unit, giving the formal
+    inverse of ``c``.
 
-    Computed degree by degree: the degree-d part of the inverse is minus the
-    convolution of the known lower parts with the positive parts of ``c``.
-    Only degrees that carry basis labels are visited, and only nonzero lower
-    parts are multiplied; the part in any other degree is zero.  The
-    degree-d part depends only on parts of degree <= d, so stopping at
-    ``through`` changes nothing below it.
+    Computed degree by degree: the degree-d part of the quotient is the
+    numerator's degree-d part minus the convolution of the known lower parts
+    with the positive parts of ``c``.  Only degrees that carry basis labels
+    are visited, and only nonzero lower parts are multiplied; the part in any
+    other degree is zero.  The degree-d part depends only on parts of degree
+    <= d, so stopping at ``through`` changes nothing below it.
     """
     if through is not None and (not is_integer(through) or through < 0):
         raise ValueError("through must be None or a nonnegative integer")
     ring = c.ring
     if c.component(0) != ring.unit():
         raise NotAUnit("total class must have degree-0 component equal to 1")
+    if numerator is None:
+        numerator = ring.unit()
+    c._require_same_ring(numerator)
     bound = ring.top_dim if through is None else min(through, ring.top_dim)
-    parts: dict[int, GradedElement] = {0: ring.unit()}
+    parts: dict[int, GradedElement] = {}
     c_parts = {d: c.component(d) for d in c.support_degrees() if 0 < d <= bound}
-    inverse = ring.unit()
-    for d in sorted(d for d in ring.positions_by_degree if 0 < d <= bound):
+    for d in sorted(d for d in ring.positions_by_degree if d <= bound):
         acc = ring.zero()
         for e, ce in c_parts.items():
             if parts.get(d - e):
                 acc = acc + ce * parts[d - e]
-        parts[d] = -acc
-        inverse = inverse + parts[d]
-    return inverse
+        parts[d] = numerator.component(d) - acc
+    return GradedElement(ring, {p: v for part in parts.values() for p, v in part.coeffs.items()})
 
 
 class RingMap:

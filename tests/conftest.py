@@ -54,6 +54,7 @@ def ring_map_from_generators(source, target, images_by_gen):
         if label != "1":
             for factor in label.split("*"):
                 name, _, exponent = factor.partition("^")
-                element = element * images_by_gen[name] ** int(exponent or 1)
+                for _ in range(int(exponent or 1)):
+                    element = element * images_by_gen[name]
         images.append(element)
     return gring.RingMap(source, target, images)

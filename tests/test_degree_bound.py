@@ -80,6 +80,9 @@ def test_bounded_virtual_total_matches_full_through_bound(data):
         assert components_through(value, bound) == components_through(full, bound)
         assert value.truncated(bound) == value
         assert (value * negative).truncated(bound) == positive.truncated(bound)
+        # The product path the recurrence replaced, as an independent oracle.
+        b = min(bound, ring.top_dim)
+        assert value == (positive.truncated(b) * invert_total_class(negative, b)).truncated(b)
     # A smaller bound after a larger one still reads exact parts, and nothing
     # above the smaller bound: the value does not depend on earlier calls.
     assert components_through(bundle.virtual_total(low), low) == components_through(full, low)
@@ -99,9 +102,9 @@ def test_porteous_on_a_product_ring_inverts_once_through_the_read_degree(monkeyp
     calls = []
     real = charclass.invert_total_class
 
-    def counting(c, through=None):
+    def counting(c, through=None, numerator=None):
         calls.append(through)
-        return real(c, through)
+        return real(c, through, numerator)
 
     monkeypatch.setattr(charclass, "invert_total_class", counting)
     for stage in run.stages:

@@ -127,7 +127,7 @@ def test_bounded_triples_match_filtered_brute_force():
         every = list(itertools.combinations_with_replacement(nonunit, 3))
         bounded = [t for t in every if sum(ring.degrees[ring.position[l]] for l in t) <= ring.top_dim]
         assert 0 < len(bounded) < len(every)
-        triples = [tuple(ring.labels[p] for p in t) for t in ring._bounded_triples()]
+        triples = [tuple(ring.labels[p] for p in (x, y, z)) for x, y, zs in ring._triple_slices() for z in zs]
         assert triples == bounded
         # The triples are the slices flattened, one slice per pair, in order.
         pairs = [(x, y) for x, y, _ in ring._triple_slices()]
@@ -153,7 +153,7 @@ def test_first_failing_triple_is_named_from_the_middle_of_a_slice():
 def test_associativity_triple_cap_is_exact(monkeypatch):
     ring = truncated_polynomial_ring("mod2", 8, [("u", 1), ("v", 2), ("w", 3)], fundamental="u^8")
     spec = ring.serialize()
-    count = sum(1 for _ in ring._bounded_triples())
+    count = sum(len(zs) for _, _, zs in ring._triple_slices())
     monkeypatch.setattr(gring, "MAX_ASSOC_TRIPLES", count)
     assert make_ring(spec).serialize() == spec
     monkeypatch.setattr(gring, "MAX_ASSOC_TRIPLES", count - 1)
@@ -173,7 +173,17 @@ def test_triple_cap_refuses_before_the_first_triple():
     basis = [("1", 0), *((f"e{j}", 1) for j in range(400)), ("top", 3)]
     ring = ManifoldRing("mod2", 3, basis, fundamental="top", verify=False)
     with pytest.raises(PresentationError, match=f"^associativity check exceeds the cap MAX_ASSOC_TRIPLES = {gring.MAX_ASSOC_TRIPLES} triples$"):
-        next(ring._bounded_triples())
+        next(ring._triple_slices())
+
+
+def test_a_ring_without_triples_walks_no_pairs():
+    # 4,000 labels in degree 2 under top 4: every pair reaches the top, so no
+    # pair has a z, and the walk visits no pair rather than 8M of them.
+    basis = [("1", 0), *((f"e{j}", 2) for j in range(4000)), ("top", 4)]
+    start = time.perf_counter()
+    ring = ManifoldRing("mod2", 4, basis, fundamental="top")
+    assert time.perf_counter() - start < 1.0
+    assert list(ring._triple_slices()) == []
 
 
 @pytest.mark.parametrize("ring", [
@@ -278,6 +288,14 @@ def test_invert_total_class_requires_unit(four_ring):
         invert_total_class(four_ring.basis_element("x"))
     with pytest.raises(NotAUnit):
         invert_total_class(2 * four_ring.unit())
+
+
+def test_quotient_refuses_a_numerator_from_another_ring(four_ring):
+    # A unit total would otherwise hand back the numerator's coefficients
+    # keyed onto the total's ring.
+    other = four_manifold_ring()
+    with pytest.raises(RingMismatch):
+        invert_total_class(four_ring.unit(), None, other.basis_element("x"))
 
 
 def test_invert_total_class_visits_only_basis_degrees():

@@ -284,7 +284,6 @@ BOOL_ARGUMENTS = {
     ),
     "product_obstruction": (lambda: product_obstruction(_product_run(), False), StageOutOfRange, "stage False"),
     "next_index": (lambda: next_index(True), FiltrationError, "budget"),
-    "element power": (lambda: _integer_bundle().ring.basis_element("t") ** True, ValueError, "exponent"),
     "invert_total_class through": (lambda: invert_total_class(_integer_bundle().ring.unit(), True), ValueError, "through"),
     "virtual_total through": (lambda: _integer_bundle().virtual_total(True), ValueError, "through"),
 }
