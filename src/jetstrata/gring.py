@@ -18,7 +18,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
@@ -102,6 +102,26 @@ def read_field(document, key: str, kind: type, name: str, default=_REQUIRED):
     if not isinstance(value, kind) or (kind is str and not value):
         raise PresentationError(f"{name}: field {key!r} must be {_KIND_NAMES[kind]}")
     return value
+
+
+def _positions_at_most(degrees: Sequence[int], unit: int) -> Callable[[int], list[int]]:
+    """``at_most(bound)``: the positions other than ``unit`` of degree at most
+    ``bound``, ascending.  Each list is built on first use from one
+    degree-sorted order."""
+    order = sorted((p for p in range(len(degrees)) if p != unit), key=degrees.__getitem__)
+    keys = [degrees[p] for p in order]
+    built = cache(lambda count: sorted(order[:count]))
+    return lambda bound: built(bisect_right(keys, bound))
+
+
+def _bounded_pairs(degrees: Sequence[int], unit: int, bound: int, at_most=None) -> Iterator[tuple[int, int]]:
+    """The position pairs x <= y, neither ``unit``, whose degrees sum to at
+    most ``bound``, in the order of ``combinations_with_replacement``; no
+    other pair is visited.  ``at_most`` shares ``_positions_at_most``'s lists."""
+    at_most = at_most or _positions_at_most(degrees, unit)
+    for x in at_most(bound):
+        ys = at_most(bound - degrees[x])
+        yield from zip(itertools.repeat(x), ys[bisect_left(ys, x):])
 
 
 class ManifoldRing:
@@ -257,35 +277,22 @@ class ManifoldRing:
         """Non-unit position triples x <= y <= z whose degrees sum to at most
         top_dim, one (x, y, [z, ...]) per pair that has a z, in the order of
         ``combinations_with_replacement``; past MAX_ASSOC_TRIPLES triples, a
-        PresentationError before the first."""
-        degrees, top = self.degrees, self.top_dim
-        nonunit = [p for p in range(len(degrees)) if p != self.unit_position]
-        # within[b]: the non-unit positions of degree at most bounds[b],
-        # ascending; degree 0 holds only the unit, so within[0] is empty, and
-        # at_most reads it for a negative bound too.
-        bounds = [0, *sorted({degrees[p] for p in nonunit})]
-        least = bounds[1] if nonunit else 0
-        within = [[p for p in nonunit if degrees[p] <= bound] for bound in bounds]
-
-        def at_most(bound: int) -> list[int]:
-            return within[max(bisect_right(bounds, bound) - 1, 0)]
-
-        def pairs() -> Iterator[tuple[int, int, list[int], int]]:
-            # zs[lo:] holds the positions from y on of degree at most
-            # top - deg x - deg y; ys likewise from x on, of degree at most
-            # top - deg x - least, since a larger y leaves no z.
-            for x in nonunit:
-                bound = top - degrees[x]
-                ys = at_most(bound - least)
-                for y in ys[bisect_left(ys, x):]:
-                    zs = at_most(bound - degrees[y])
-                    yield x, y, zs, bisect_left(zs, y)
-
-        if sum(len(zs) - lo for _, _, zs, lo in pairs()) > MAX_ASSOC_TRIPLES:
-            raise PresentationError(f"associativity check exceeds the cap MAX_ASSOC_TRIPLES = {MAX_ASSOC_TRIPLES} triples")
-        for x, y, zs, lo in pairs():
+        PresentationError before the first.  One pass walks the pairs of
+        degree at most top - (least non-unit degree); each has its own bounded
+        triple {x, y, a least-degree label}, so it stops at the cap too."""
+        degrees, top, unit, cap = self.degrees, self.top_dim, self.unit_position, MAX_ASSOC_TRIPLES
+        at_most = _positions_at_most(degrees, unit)
+        least = min(filter(None, degrees), default=0)  # only the unit has degree 0
+        slices, triples = [], 0
+        for pairs, (x, y) in enumerate(_bounded_pairs(degrees, unit, top - least, at_most), 1):
+            zs = at_most(top - degrees[x] - degrees[y])
+            lo = bisect_left(zs, y)
+            triples += len(zs) - lo
+            if pairs > cap or triples > cap:
+                raise PresentationError(f"associativity check exceeds the cap MAX_ASSOC_TRIPLES = {cap} triples")
             if lo < len(zs):
-                yield x, y, zs[lo:]
+                slices.append((x, y, zs[lo:]))
+        yield from slices
 
     def _verify_associativity(self) -> None:
         # Triples with total degree above top_dim associate trivially (both
@@ -437,11 +444,6 @@ class GradedElement:
         deg = self.ring.degrees
         return GradedElement(self.ring, {p: c for p, c in self.coeffs.items() if deg[p] == degree})
 
-    def truncated(self, degree: int) -> "GradedElement":
-        """Sum of the components of degree at most ``degree``."""
-        deg = self.ring.degrees
-        return GradedElement(self.ring, {p: c for p, c in self.coeffs.items() if deg[p] <= degree})
-
     def support_degrees(self) -> tuple[int, ...]:
         deg = self.ring.degrees
         return tuple(sorted({deg[p] for p in self.coeffs}))
@@ -505,7 +507,9 @@ class RingMap:
 
     ``images`` holds one target element per source basis position, the
     unit's included; ``map_from_spec`` reads a map by label.
-    Multiplicativity is verified on all basis pairs at construction.
+    Multiplicativity is verified at construction on the basis pairs at or
+    below the target's top degree: images keep their degree and no product
+    lives above a top, so above it both sides are zero.
     """
 
     def __init__(self, source: ManifoldRing, target: ManifoldRing, images: Sequence[GradedElement]):
@@ -527,8 +531,7 @@ class RingMap:
 
     def _verify_multiplicative(self) -> None:
         source, images = self.source, self.images
-        nonunit = [p for p in range(len(images)) if p != source.unit_position]
-        for a, b in itertools.combinations_with_replacement(nonunit, 2):
+        for a, b in _bounded_pairs(source.degrees, source.unit_position, self.target.top_dim):
             if self(GradedElement(source, dict(source.basis_product(a, b)))) != images[a] * images[b]:
                 a, b = source.labels[a], source.labels[b]
                 raise PresentationError(f"map is not multiplicative on pair ({a!r}, {b!r})")
@@ -609,15 +612,9 @@ class TensorRing(ManifoldRing):
         return tuple([(index[key + k], scale * e) for k, e in terms])
 
     def _product_entries(self) -> Iterator[tuple[tuple[int, int], tuple[tuple[int, int], ...]]]:
-        degrees, top, by_degree = self.degrees, self.top_dim, self.positions_by_degree.items()
-        for i in range(len(degrees)):
-            if i == self.unit_position:
-                continue
-            # Degree 0 holds only the unit, whose products are implied.
-            bound = top - degrees[i]
-            for j in sorted(j for d, ps in by_degree if 0 < d <= bound for j in ps if j >= i):
-                if packed := self.basis_product(i, j):
-                    yield (i, j), packed
+        for i, j in _bounded_pairs(self.degrees, self.unit_position, self.top_dim):
+            if packed := self.basis_product(i, j):
+                yield (i, j), packed
 
 
 #: Most bounded-degree triples the associativity check of one ring walks; a
@@ -833,14 +830,8 @@ def truncated_polynomial_ring(
     basis = [(label_of(exps), degree) for degree, exps in monomials]
 
     products: dict[tuple[str, str], dict[str, int]] = {}
-    entries = [(label, degree, exps) for (degree, exps), (label, _) in zip(monomials, basis)]
-    for i, (la, da, ea) in enumerate(entries):
-        if la == "1":
-            continue
-        for lb, db, eb in entries[i:]:
-            if lb == "1" or da + db > top_dim:
-                continue
-            combined = tuple(x + y for x, y in zip(ea, eb))
-            products[(la, lb)] = {label_of(combined): 1}
+    for i, j in _bounded_pairs([degree for degree, _ in monomials], 0, top_dim):  # the unit sorts first
+        combined = tuple(x + y for x, y in zip(monomials[i][1], monomials[j][1]))
+        products[(basis[i][0], basis[j][0])] = {label_of(combined): 1}
 
     return ManifoldRing(mode, top_dim, basis, products, fundamental, orientable=orientable)

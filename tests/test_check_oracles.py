@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetstrata.gring import ManifoldRing, NonAssociative, PresentationError, RingMap, _rank
+from jetstrata.gring import ManifoldRing, NonAssociative, PresentationError, RingMap, _rank, truncated_polynomial_ring
 
 # Generators and top dimension per coefficient mode; each has a degree that
 # carries several monomials, so the basis change mixes labels.
@@ -304,6 +304,36 @@ def test_unperturbed_presentations_pass_both_checks(mode):
     plain_products = plain.products()
     assert first_nonmultiplicative_pair(mode, (plain.basis(), plain_products), (twisted.basis(), products), images) is None
     RingMap(plain.ring(plain_products), ring, [ring.unit(), *(ring.element(images[label]) for label in plain.labels[1:])])
+
+
+def _presentation(ring):
+    """A ring's (basis, products) by label, as the references read them."""
+    labels = ring.labels
+    products = {(labels[i], labels[j]): {labels[t]: c for t, c in packed} for (i, j), packed in ring._product_entries()}
+    return list(zip(labels, ring.degrees)), products
+
+
+@pytest.mark.parametrize("mode", sorted(SHAPES))
+def test_map_into_a_lower_top_degree(mode):
+    # u -> u from top 8 to top 4: u^3 and u^4 go to zero, and the pairs the
+    # check skips, above degree 4, are zero on both sides.  With an image of
+    # degree at most 4 changed, the check names the reference's first pair.
+    source = truncated_polynomial_ring(mode, 8, [("u", 2)])
+    target = truncated_polynomial_ring(mode, 4, [("u", 2)])
+    images = {label: {label: 1} if label in target.position else {} for label in source.labels[1:]}
+    presentations = _presentation(source), _presentation(target)
+
+    def elements(images):
+        return [target.unit(), *(target.element(images[label]) for label in source.labels[1:])]
+
+    assert first_nonmultiplicative_pair(mode, *presentations, images) is None
+    RingMap(source, target, elements(images))
+    for label in ("u", "u^2"):
+        changed = {**images, label: {} if mode == "mod2" else {label: 2}}
+        expected = first_nonmultiplicative_pair(mode, *presentations, changed)
+        assert expected is not None
+        with pytest.raises(PresentationError, match=rf"^map is not multiplicative on pair \({expected[0]!r}, {expected[1]!r}\)$"):
+            RingMap(source, target, elements(changed))
 
 
 # -- the rank behind the injectivity check ------------------------------------

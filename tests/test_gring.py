@@ -116,13 +116,19 @@ def test_non_associative_triple_at_top_degree_detected():
         ManifoldRing("integer_mod_torsion", 6, basis, products, "t")
 
 
-def test_bounded_triples_match_filtered_brute_force():
+def uvw_rings():
+    """The mod-2 ring on u, v, w of degrees 1, 2, 3 under top 8, its basis
+    listed in ascending and in descending degree order."""
     ordered = truncated_polynomial_ring(
         "mod2", 8, [("u", 1), ("v", 2), ("w", 3)], fundamental="u^8"
     )
     spec = ordered.serialize()
     spec["basis"] = spec["basis"][::-1]  # positions no longer follow degrees
-    for ring in (ordered, make_ring(spec)):
+    return ordered, make_ring(spec)
+
+
+def test_bounded_triples_match_filtered_brute_force():
+    for ring in uvw_rings():
         nonunit = [l for l in ring.labels if l != ring.labels[ring.unit_position]]
         every = list(itertools.combinations_with_replacement(nonunit, 3))
         bounded = [t for t in every if sum(ring.degrees[ring.position[l]] for l in t) <= ring.top_dim]
@@ -168,8 +174,9 @@ def test_associativity_triple_cap_is_exact(monkeypatch):
 
 
 def test_triple_cap_refuses_before_the_first_triple():
-    # The 400-label ring of the CLI cap test, built without the check: its
-    # 10,746,800 bounded triples are counted, and none is walked.
+    # The 400-label ring of the CLI cap test, built without the check: of
+    # its 10,746,800 bounded triples the walk meets only the first past the
+    # cap, and no slice is yielded.
     basis = [("1", 0), *((f"e{j}", 1) for j in range(400)), ("top", 3)]
     ring = ManifoldRing("mod2", 3, basis, fundamental="top", verify=False)
     with pytest.raises(PresentationError, match=f"^associativity check exceeds the cap MAX_ASSOC_TRIPLES = {gring.MAX_ASSOC_TRIPLES} triples$"):
@@ -184,6 +191,48 @@ def test_a_ring_without_triples_walks_no_pairs():
     ring = ManifoldRing("mod2", 4, basis, fundamental="top")
     assert time.perf_counter() - start < 1.0
     assert list(ring._triple_slices()) == []
+
+
+def test_distinct_degrees_without_triples_build_in_linear_time():
+    # 8,000 labels in degrees n + 1 .. 2n under top 3n: every pair sums past
+    # top - least, so the walk visits no pair and builds no long list.
+    n = 8000
+    basis = [("1", 0), *((f"e{j}", n + j) for j in range(1, n + 1)), ("top", 3 * n)]
+    start = time.perf_counter()
+    ring = ManifoldRing("mod2", 3 * n, basis, fundamental="top")
+    assert time.perf_counter() - start < 1.0
+    assert list(ring._triple_slices()) == []
+
+
+def test_distinct_degrees_past_the_cap_are_refused_early():
+    # 8,000 labels in degrees 1 .. n under top n have billions of bounded
+    # triples; the walk passes the cap within its first 130 pairs.
+    n = 8000
+    basis = [("1", 0), *((f"e{j}", j) for j in range(1, n + 1))]
+    start = time.perf_counter()
+    with pytest.raises(PresentationError, match=f"^associativity check exceeds the cap MAX_ASSOC_TRIPLES = {gring.MAX_ASSOC_TRIPLES} triples$"):
+        ManifoldRing("mod2", n, basis, fundamental=f"e{n}")
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("ring", [
+    *uvw_rings(),
+    kunneth_product(
+        truncated_polynomial_ring("mod2", 3, [("a", 1)]),
+        truncated_polynomial_ring("mod2", 4, [("b", 1), ("c", 2)], fundamental="b^4"),
+    )[0],
+], ids=["ascending", "descending", "tensor"])
+def test_bounded_pairs_match_filtered_brute_force(ring):
+    # Which pairs come first depends on the position order, not on degrees.
+    degrees, unit = ring.degrees, ring.unit_position
+    nonunit = [p for p in range(len(degrees)) if p != unit]
+    least = min(degrees[p] for p in nonunit)
+    for bound in sorted({-1, least - 1, *degrees, ring.top_dim, ring.top_dim + 1}):
+        expected = [
+            (x, y) for x, y in itertools.combinations_with_replacement(nonunit, 2)
+            if degrees[x] + degrees[y] <= bound
+        ]
+        assert list(gring._bounded_pairs(degrees, unit, bound)) == expected
 
 
 @pytest.mark.parametrize("ring", [
