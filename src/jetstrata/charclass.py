@@ -10,7 +10,6 @@ negative indices are zero).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .gring import (
@@ -20,6 +19,7 @@ from .gring import (
     ManifoldRing,
     ModeMismatch,
     NotAUnit,
+    Record,
     RingMismatch,
     element_from_spec,
     element_to_spec,
@@ -120,23 +120,24 @@ def class_of_virtual(bundle: VirtualBundle, j: int) -> GradedElement:
     return _classes(bundle, [j])[j]
 
 
-@dataclass(frozen=True)
-class ObstructionClass:
-    """Determinant obstruction class together with its degree bookkeeping."""
+class ObstructionClass(Record):
+    """Determinant obstruction class together with its degree bookkeeping.
+    ``matrix`` is the class matrix whose determinant is ``value``, empty for
+    the table; it is left out of equality."""
 
-    value: GradedElement
-    stratum_index: int
-    expected_degree: int
-    variant: ClassVariant
-    #: The class matrix whose determinant is ``value``; empty for the table.
-    matrix: tuple[tuple[GradedElement, ...], ...] = field(default=(), compare=False, repr=False)
+    __slots__ = ("value", "stratum_index", "expected_degree", "variant", "matrix")
+    _hidden = ("matrix",)
 
-    def __post_init__(self):
-        if not self.value.is_homogeneous(self.expected_degree):
+    def __init__(
+        self, value: GradedElement, stratum_index: int, expected_degree: int, variant: ClassVariant,
+        matrix: tuple[tuple[GradedElement, ...], ...] = (),
+    ):
+        if not value.is_homogeneous(expected_degree):
             raise ConsistencyError(
-                f"obstruction class is not homogeneous of degree {self.expected_degree}: "
-                f"components in degrees {self.value.support_degrees()}"
+                f"obstruction class is not homogeneous of degree {expected_degree}: "
+                f"components in degrees {value.support_degrees()}"
             )
+        self._fill(locals())
 
     @property
     def is_zero(self) -> bool:

@@ -14,9 +14,10 @@ import argparse
 import json
 import sys
 from itertools import accumulate, repeat
+from json.encoder import encode_basestring
 from operator import itemgetter
 
-from . import charclass, criteria, filtration, gring, selfcheck, symbols
+from . import charclass, criteria, filtration, gring, symbols
 
 
 def _load_json(path: str):
@@ -42,10 +43,25 @@ def _load_json(path: str):
             ) from None
 
 
+class RingEcho(dict):
+    """A ring where a report echoes it.  ``_emit`` writes its canonical
+    document straight from the ring's table; to any other JSON encoder, which
+    reads a dict through ``items()``, it is that document,
+    ``ring.serialize()``."""
+
+    __slots__ = ()
+
+    def __init__(self, ring: gring.ManifoldRing):
+        super().__init__(ring=ring)
+
+    def items(self):
+        return self["ring"].serialize().items()
+
+
 def _load_bundle(args) -> tuple[charclass.VirtualBundle, dict]:
     """The bundle of ``--ring`` and ``--bundle``, and both echoed in canonical form."""
     bundle = charclass.bundle_from_spec(gring.make_ring(_load_json(args.ring)), _load_json(args.bundle))
-    return bundle, {"ring": bundle.ring.serialize(), "bundle": charclass.bundle_to_spec(bundle)}
+    return bundle, {"ring": RingEcho(bundle.ring), "bundle": charclass.bundle_to_spec(bundle)}
 
 
 def _report(command: str, inputs: dict, intermediates: dict, verdict, citations: list[str]) -> dict:
@@ -71,19 +87,10 @@ _STEP = {"\x0e": 1, "]": -1, "}": -1}
 
 def _emit(report: dict, out_path: str | None) -> None:
     """Write ``json.dumps(report, indent=2, sort_keys=True,
-    ensure_ascii=False)`` and a newline, in one write."""
-    compact = json.dumps(report, sort_keys=True, ensure_ascii=False, separators=(",\n", ": "))
-    # Every raw newline of the compact text ends an item, so chunks cut at
-    # newlines are laid out one by one, carrying the depth.
-    leads, pieces, depth, start = ["\n"], [], 0, 0
-    while start <= len(compact):
-        end = compact.find("\n", start + EMIT_CHUNK_CHARS)
-        if end < 0:
-            end = len(compact)
-        piece, depth = _layout(compact[start:end], depth, leads)
-        pieces.append(piece)
-        start = end + 1
-    pieces[0] = pieces[0][1:]
+    ensure_ascii=False)`` and a newline, in one write; a ``RingEcho`` is
+    written as its ring's document."""
+    pieces: list[str] = []
+    _encode(report, 0, ["\n"], pieces)
     pieces.append("\n")
     text = "".join(pieces)
     if out_path:
@@ -91,6 +98,85 @@ def _emit(report: dict, out_path: str | None) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _holds_echo(value) -> bool:
+    """Whether a ``RingEcho`` sits anywhere in ``value``."""
+    if isinstance(value, RingEcho):
+        return True
+    if isinstance(value, dict):
+        return any(map(_holds_echo, value.values()))
+    return isinstance(value, list) and any(map(_holds_echo, value))
+
+
+def _encode(value, depth: int, leads: list[str], pieces: list[str]) -> None:
+    """Append the indent=2 text of ``value`` at ``depth`` to ``pieces``, its
+    first line continuing the current one.  ``leads[d]`` is a newline and the
+    indentation of depth d.  A ring echo is written from the ring's table, a
+    container that holds one item by item, and any other value from the
+    compact text of the C encoder."""
+    if isinstance(value, RingEcho):
+        pieces.append(_ring_text(value["ring"], depth, leads))
+    elif isinstance(value, (dict, list)) and _holds_echo(value):
+        if len(leads) <= depth + 1:
+            leads.append(leads[-1] + "  ")
+        if isinstance(value, dict):
+            brackets, items = "{}", [(f"{encode_basestring(key)}: ", value[key]) for key in sorted(value)]
+        else:
+            brackets, items = "[]", [("", item) for item in value]
+        pieces.append(brackets[0])
+        for n, (key, item) in enumerate(items):
+            pieces.append(f"{',' if n else ''}{leads[depth + 1]}{key}")
+            _encode(item, depth + 1, leads, pieces)
+        pieces.append(leads[depth] + brackets[1])
+    else:
+        # Every raw newline of the compact text ends an item, so chunks cut
+        # at newlines are laid out one by one, carrying the depth.
+        compact = json.dumps(value, sort_keys=True, ensure_ascii=False, separators=(",\n", ": "))
+        first, start, at = len(pieces), 0, depth
+        while start <= len(compact):
+            end = compact.find("\n", start + EMIT_CHUNK_CHARS)
+            if end < 0:
+                end = len(compact)
+            piece, at = _layout(compact[start:end], at, leads)
+            pieces.append(piece)
+            start = end + 1
+        pieces[first] = pieces[first][len(leads[depth]):]
+
+
+def _ring_text(ring: gring.ManifoldRing, depth: int, leads: list[str]) -> str:
+    """The indent=2 text of ``ring.serialize()`` at ``depth``.  Each label is
+    encoded once, into the text of each place it can take; the products are
+    read off the table.  Integers are written by ``int.__repr__``, as the
+    encoder writes them."""
+    while len(leads) <= depth + 5:
+        leads.append(leads[-1] + "  ")
+    l0, l1, l2, l3, l4, l5 = leads[depth:depth + 6]
+    labels = list(map(encode_basestring, ring.labels))
+    basis = f",{l2}".join([
+        f'{{{l3}"degree": {degree},{l3}"label": {label}{l2}}}'
+        for label, degree in zip(labels, map(int.__repr__, ring.degrees))
+    ])
+    first = [f'{{{l3}"a": {label},{l3}"b": ' for label in labels]
+    second = [f'{label},{l3}"result": [' for label in labels]
+    unit_terms = [f'{l4}{{{l5}"coeff": 1,{l5}"label": {label}{l4}}}' for label in labels]
+    term = f'{l4}{{{l5}"coeff": %s,{l5}"label": %s{l4}}}'
+    close = f"{l3}]{l2}}}"
+    products = f",{l2}".join([
+        first[i] + second[j] + (
+            unit_terms[packed[0][0]] if len(packed) == 1 and packed[0][1] == 1  # the most common product
+            else ",".join([unit_terms[t] if c == 1 else term % (int.__repr__(c), labels[t]) for t, c in packed])
+        ) + close
+        for (i, j), packed in ring._product_entries()
+    ])
+    return "".join([
+        f'{{{l1}"basis": [{l2}{basis}{l1}],',
+        f'{l1}"fundamental": {labels[ring.fundamental_position]},',
+        f'{l1}"mode": {encode_basestring(ring.mode.value)},',
+        f'{l1}"orientable": {"true" if ring.orientable else "false"},',
+        f'{l1}"products": [{l2}{products}{l1}],' if products else f'{l1}"products": [],',
+        f'{l1}"topDim": {int.__repr__(ring.top_dim)}{l0}}}',
+    ])
 
 
 def _layout(chunk: str, depth: int, leads: list[str]) -> tuple[str, int]:
@@ -289,7 +375,7 @@ def _run_filtration(args) -> dict:
         "d": run.depth,
         "schedule": list(run.schedule),
         "stages": [
-            {"ring": stage.ring.serialize(), "bundle": charclass.bundle_to_spec(stage.bundle)}
+            {"ring": RingEcho(stage.ring), "bundle": charclass.bundle_to_spec(stage.bundle)}
             for stage in run.stages
         ],
     }
@@ -304,6 +390,8 @@ def _run_filtration(args) -> dict:
 
 
 def _run_selfcheck() -> int:
+    from . import selfcheck  # imported by this command alone
+
     results = selfcheck.run_selfcheck()
     for result in results:
         sys.stdout.write(f"ok {result.name}\n" if result.passed else f"FAIL {result.name}: {result.detail}\n")

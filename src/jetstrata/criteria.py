@@ -9,8 +9,6 @@ never asserts existence: a vanishing obstruction class proves nothing here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .charclass import (
     ObstructionClass,
     VirtualBundle,
@@ -19,7 +17,7 @@ from .charclass import (
     w_table_polynomial,
     W_TABLE_DIMENSIONS,
 )
-from .gring import CoefficientMode, ConsistencyError, ModeMismatch, is_integer
+from .gring import CoefficientMode, ConsistencyError, ModeMismatch, Record, is_integer
 from .symbols import JetContext, is_finite_order
 
 ESTABLISHED = "Established"
@@ -32,16 +30,13 @@ class BadInput(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(Record):
     """Outcome of an inclusion criterion with its witness arithmetic."""
 
-    verdict: str
-    lhs: int
-    rhs: int
-    k_required: int
-    shift_used: int
-    notes: str = ""
+    __slots__ = ("verdict", "lhs", "rhs", "k_required", "shift_used", "notes")
+
+    def __init__(self, verdict: str, lhs: int, rhs: int, k_required: int, shift_used: int, notes: str = ""):
+        self._fill(locals())
 
     @property
     def established(self) -> bool:
@@ -140,16 +135,17 @@ ROUTE_PONTRJAGIN = "pontrjagin"
 ROUTE_W_TABLE = "wtable"
 
 
-@dataclass(frozen=True)
-class NonexistenceReport:
+class NonexistenceReport(Record):
     """Verdict for the question: can the map be deformed to one whose
     singularities all have orbit codimension within the budget?"""
 
-    verdict: str
-    route: str
-    criterion: CriterionReport
-    obstruction: ObstructionClass | None
-    notes: tuple[str, ...]
+    __slots__ = ("verdict", "route", "criterion", "obstruction", "notes")
+
+    def __init__(
+        self, verdict: str, route: str, criterion: CriterionReport, obstruction: ObstructionClass | None,
+        notes: tuple[str, ...],
+    ):
+        self._fill(locals())
 
 
 def _table_fits(ell: int, dims: tuple[int, int]) -> bool:

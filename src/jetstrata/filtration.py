@@ -14,7 +14,6 @@ stage's own difference bundle, every other factor cancelling.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .charclass import ObstructionClass, VirtualBundle, porteous_pontrjagin
 from .gring import (
@@ -23,6 +22,7 @@ from .gring import (
     GradedElement,
     ManifoldRing,
     ModeMismatch,
+    Record,
     RingMap,
     RingMismatch,
     is_integer,
@@ -84,27 +84,27 @@ def next_index(budget: int) -> int:
     return low
 
 
-@dataclass(frozen=True)
-class FiltrationStage:
+class FiltrationStage(Record):
     """One stage: its kernel rank 2*i_t, budget, dimension 8*i_t^2, ring,
     difference bundle and the (verified nonzero) stage obstruction class."""
 
-    t: int
-    kernel_rank: int
-    budget: int
-    dim: int
-    ring: ManifoldRing
-    bundle: VirtualBundle
-    obstruction: ObstructionClass
+    __slots__ = ("t", "kernel_rank", "budget", "dim", "ring", "bundle", "obstruction")
+
+    def __init__(
+        self, t: int, kernel_rank: int, budget: int, dim: int, ring: ManifoldRing, bundle: VirtualBundle,
+        obstruction: ObstructionClass,
+    ):
+        self._fill(locals())
 
 
-@dataclass(frozen=True)
-class FiltrationRun:
-    depth: int
-    schedule: tuple[int, ...]
-    stages: tuple[FiltrationStage, ...]
-    product_ring: ManifoldRing
-    injections: tuple[RingMap, ...]
+class FiltrationRun(Record):
+    __slots__ = ("depth", "schedule", "stages", "product_ring", "injections")
+
+    def __init__(
+        self, depth: int, schedule: tuple[int, ...], stages: tuple[FiltrationStage, ...],
+        product_ring: ManifoldRing, injections: tuple[RingMap, ...],
+    ):
+        self._fill(locals())
 
 
 def build_run(depth: int, schedule, stage_bundles) -> FiltrationRun:
@@ -195,18 +195,19 @@ def product_obstruction(run: FiltrationRun, t: int) -> ObstructionClass:
     return obstruction
 
 
-@dataclass(frozen=True)
-class DoubleConstruction:
+class DoubleConstruction(Record):
     """Self-map of a product of two equal-dimensional manifolds swapping the
     factors through a homotopy equivalence and its inverse: the product ring,
     the difference bundle of the swap map, the factor injections, and the
     one-factor difference bundle it mirrors."""
 
-    product_ring: ManifoldRing
-    bundle: VirtualBundle
-    inject_left: RingMap
-    inject_right: RingMap
-    factor_bundle: VirtualBundle
+    __slots__ = ("product_ring", "bundle", "inject_left", "inject_right", "factor_bundle")
+
+    def __init__(
+        self, product_ring: ManifoldRing, bundle: VirtualBundle, inject_left: RingMap, inject_right: RingMap,
+        factor_bundle: VirtualBundle,
+    ):
+        self._fill(locals())
 
 
 def double_construction(

@@ -19,6 +19,7 @@ import math
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import cache, partial
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
@@ -79,6 +80,41 @@ def is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+class Record:
+    """Base of the immutable records.  A record lists its fields in
+    ``__slots__`` and sets them in ``__init__`` with ``self._fill(locals())``;
+    assigning a field afterwards raises AttributeError.  Records of one type
+    compare, hash and print by their fields, those in ``_hidden`` left out."""
+
+    __slots__ = ()
+    _hidden: tuple[str, ...] = ()
+
+    def _fill(self, values: dict) -> None:
+        for name in self.__slots__:
+            object.__setattr__(self, name, values[name])
+
+    def _shown(self) -> tuple:
+        return tuple((name, getattr(self, name)) for name in self.__slots__ if name not in self._hidden)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._shown() == other._shown()
+
+    def __hash__(self):
+        return hash(self._shown())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={value!r}' for name, value in self._shown())})"
+
+
+_LABEL_COEFF = itemgetter("label", "coeff")
 _REQUIRED = object()
 _KIND_NAMES = {dict: "a JSON object", list: "a list", str: "a non-empty string", bool: "true or false"}
 
@@ -130,8 +166,9 @@ class ManifoldRing:
 
     ``basis`` is a sequence of (label, degree) pairs; degree 0 must contain
     exactly one label, the multiplicative unit.  ``products`` maps unordered
-    pairs of non-unit labels to {label: coefficient}; omitted products are
-    zero.  ``fundamental`` must be a top-degree label (inferred when the top
+    pairs of non-unit labels to {label: coefficient}, or to a list of
+    {"label": ..., "coeff": ...} terms with distinct labels, as a ring
+    document lists them; omitted products are zero.  ``fundamental`` must be a top-degree label (inferred when the top
     degree carries a single label).
 
     Inside, a basis element is its position in ``basis``: structure constants,
@@ -211,8 +248,7 @@ class ManifoldRing:
 
         # Nonzero non-unit products: (i, j), i <= j -> ((position, coeff), ...).
         self._table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        for (a, b), result in (products or {}).items():
-            self._install_product(a, b, result)
+        self._install_products(products or {})
 
         if verify:
             self._verify_associativity()
@@ -224,45 +260,47 @@ class ManifoldRing:
             return coefficient % 2
         return coefficient
 
-    def _install_product(self, a: str, b: str, result: Mapping[str, int]) -> None:
-        position, degrees = self.position, self.degrees
-        for label in (a, b):
-            if label not in position:
-                raise PresentationError(f"product entry names unknown label {label!r}")
-        i, j = position[a], position[b]
-        target_degree = degrees[i] + degrees[j]
-        cleaned: dict[int, int] = {}
-        for label, coefficient in result.items():
-            t = position.get(label)
-            if t is None:
-                raise PresentationError(f"product {a!r}*{b!r} targets unknown label {label!r}")
-            if not is_integer(coefficient):
-                raise PresentationError(f"coefficient of {label!r} in {a!r}*{b!r} must be an integer")
-            value = self._normal(coefficient)
-            if value == 0:
-                continue
-            if degrees[t] != target_degree:
-                raise PresentationError(
-                    f"product {a!r}*{b!r} (degree {target_degree}) targets {label!r} "
-                    f"of degree {degrees[t]}"
+    def _install_products(self, products: Mapping) -> None:
+        """Store each product a*b of ``products`` (see the class docstring),
+        its terms checked in one pass: a known label, an integer coefficient
+        and, when nonzero, the degree of a*b."""
+        position, degrees, normal = self.position, self.degrees, self._normal
+        unit, table = self.unit_position, self._table
+        for (a, b), result in products.items():
+            i, j = position.get(a), position.get(b)
+            if i is None or j is None:
+                raise PresentationError(f"product entry names unknown label {a if i is None else b!r}")
+            target_degree = degrees[i] + degrees[j]
+            cleaned: dict[int, int] = {}
+            for label, coefficient in map(_LABEL_COEFF, result) if isinstance(result, list) else result.items():
+                t = position.get(label)
+                if t is None:
+                    raise PresentationError(f"product {a!r}*{b!r} targets unknown label {label!r}")
+                if not is_integer(coefficient):
+                    raise PresentationError(f"coefficient of {label!r} in {a!r}*{b!r} must be an integer")
+                if value := normal(coefficient):
+                    if degrees[t] != target_degree:
+                        raise PresentationError(
+                            f"product {a!r}*{b!r} (degree {target_degree}) targets {label!r} "
+                            f"of degree {degrees[t]}"
+                        )
+                    cleaned[t] = value
+            if cleaned and target_degree > self.top_dim:
+                raise DegreeOverflowEntry(
+                    f"product {a!r}*{b!r} targets degree {target_degree} above top dimension {self.top_dim}"
                 )
-            cleaned[t] = value
-        if cleaned and target_degree > self.top_dim:
-            raise DegreeOverflowEntry(
-                f"product {a!r}*{b!r} targets degree {target_degree} above top dimension {self.top_dim}"
-            )
-        if self.unit_position in (i, j):
-            other = j if i == self.unit_position else i
-            if cleaned != {other: 1}:
-                raise BadUnit(f"product with the unit must reproduce the other factor: {a!r}*{b!r}")
-            return  # implied, not stored
-        key = (i, j) if i <= j else (j, i)
-        packed = tuple(sorted(cleaned.items()))
-        if key in self._table and self._table[key] != packed:
-            pair = (self.labels[key[0]], self.labels[key[1]])
-            raise PresentationError(f"conflicting product entries for pair {pair!r}")
-        if packed:
-            self._table[key] = packed
+            if i == unit or j == unit:
+                if cleaned != {j if i == unit else i: 1}:
+                    raise BadUnit(f"product with the unit must reproduce the other factor: {a!r}*{b!r}")
+                continue  # implied, not stored
+            key = (i, j) if i <= j else (j, i)
+            packed = tuple(sorted(cleaned.items()))
+            stored = table.get(key)
+            if stored is not None and stored != packed:
+                pair = (self.labels[key[0]], self.labels[key[1]])
+                raise PresentationError(f"conflicting product entries for pair {pair!r}")
+            if packed:
+                table[key] = packed
 
     def basis_product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """Structure constants of the basis pair at positions ``i`` and ``j``
@@ -311,10 +349,11 @@ class ManifoldRing:
         # by[i][j](z, ()) is (i*j)*z, called like dict.get: a product that is
         # one basis element with coefficient 1 multiplies by its row.
         by: list[dict[int, Callable]] = [{} for _ in self.labels]
+        row_gets = [row.get for row in rows]
         for (i, j), packed in self._table.items():
             rows[i][j] = rows[j][i] = packed
-            (t, c), *rest = packed
-            by[i][j] = by[j][i] = rows[t].get if c == 1 and not rest else partial(times, packed)
+            t, c = packed[0]
+            by[i][j] = by[j][i] = row_gets[t] if c == 1 and len(packed) == 1 else partial(times, packed)
         zero = {}.get
         for x, y, zs in self._triple_slices():
             by_x, by_y = by[x], by[y]
@@ -422,7 +461,7 @@ class GradedElement:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if is_integer(other):  # a bool is not a scalar
             return GradedElement(self.ring, {p: c * other for p, c in self.coeffs.items()})
         if not isinstance(other, GradedElement):
             return NotImplemented
@@ -436,7 +475,7 @@ class GradedElement:
         return GradedElement(self.ring, acc)
 
     def __rmul__(self, other):
-        if isinstance(other, int):
+        if is_integer(other):
             return self * other
         return NotImplemented
 
@@ -728,8 +767,9 @@ def element_to_spec(c: GradedElement) -> list[dict]:
 def make_ring(spec: dict) -> ManifoldRing:
     """Build and validate a ring from its presentation document.
 
-    Only the document's shape is read here; labels, degrees, coefficients,
-    the unit and the fundamental class are checked by ``ManifoldRing``.
+    Only the document's shape is read here, every entry in order; labels,
+    degrees, coefficients, the unit and the fundamental class are checked by
+    ``ManifoldRing``, which is handed each product's own list of terms.
     """
     name = "ring presentation"
     mode = read_field(spec, "mode", object, name)
@@ -742,21 +782,30 @@ def make_ring(spec: dict) -> ManifoldRing:
         (read_field(e, "label", object, "basis entry"), read_field(e, "degree", object, "basis entry"))
         for e in basis_entries
     ]
-    products: dict[tuple[str, str], dict[str, int]] = {}
+    # Each entry and term is tested inline; read_field names the first fault.
+    products: dict[tuple[str, str], list[dict]] = {}
     for entry in product_entries:
-        a = read_field(entry, "a", str, "product entry")
-        b = read_field(entry, "b", str, "product entry")
-        term_name = f"result entry of product {a!r}*{b!r}"
-        result = {}
-        for term in read_field(entry, "result", list, "product entry", []):
-            label = read_field(term, "label", str, term_name)
-            coefficient = read_field(term, "coeff", object, term_name)
-            if label in result:
+        if not (
+            isinstance(entry, dict)
+            and isinstance(a := entry.get("a"), str) and a
+            and isinstance(b := entry.get("b"), str) and b
+            and isinstance(terms := entry.get("result", []), list)
+        ):
+            a = read_field(entry, "a", str, "product entry")
+            b = read_field(entry, "b", str, "product entry")
+            terms = read_field(entry, "result", list, "product entry", [])
+        seen = set()
+        for term in terms:
+            if not (isinstance(term, dict) and isinstance(label := term.get("label"), str) and label and "coeff" in term):
+                term_name = f"result entry of product {a!r}*{b!r}"
+                label = read_field(term, "label", str, term_name)
+                read_field(term, "coeff", object, term_name)
+            if label in seen:
                 raise PresentationError(f"duplicate target {label!r} in product {a!r}*{b!r}")
-            result[label] = coefficient
+            seen.add(label)
         if (a, b) in products or (b, a) in products:
             raise PresentationError(f"duplicate product entry for pair {(a, b)!r}")
-        products[a, b] = result
+        products[a, b] = terms
     return ManifoldRing(mode, top_dim, basis, products, fundamental, orientable=orientable)
 
 

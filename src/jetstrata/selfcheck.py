@@ -6,16 +6,15 @@ verify itself without the test suite installed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import charclass, criteria, filtration, gring
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(gring.Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self._fill(locals())
 
 
 CANONICAL_SURFACE_SPEC = {

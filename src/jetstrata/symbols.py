@@ -9,9 +9,8 @@ is nonempty beyond the basic rank checks is the caller's responsibility.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
-from .gring import is_integer
+from .gring import Record, is_integer
 
 
 class SymbolError(ValueError):
@@ -89,8 +88,7 @@ def parse_order(value) -> int | _InfiniteOrder:
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class JetContext:
+class JetContext(Record):
     """Source dimension, target dimension and jet order.
 
     Positive dimensions suffice for the counting and bound arithmetic here;
@@ -98,29 +96,26 @@ class JetContext:
     or n < p, which is the caller's hypothesis, not a constructor constraint.
     """
 
-    n: int
-    p: int
-    k: int | _InfiniteOrder = INFINITE_ORDER
+    __slots__ = ("n", "p", "k")
 
-    def __post_init__(self):
-        if not is_integer(self.n) or self.n < 1:
-            raise SymbolError(f"source dimension must be a positive integer, got {self.n!r}")
-        if not is_integer(self.p) or self.p < 1:
-            raise SymbolError(f"target dimension must be a positive integer, got {self.p!r}")
-        if is_finite_order(self.k):
-            if not is_integer(self.k) or self.k < 1:
-                raise SymbolError(f"jet order must be a positive integer or inf, got {self.k!r}")
+    def __init__(self, n: int, p: int, k: int | _InfiniteOrder = INFINITE_ORDER):
+        if not is_integer(n) or n < 1:
+            raise SymbolError(f"source dimension must be a positive integer, got {n!r}")
+        if not is_integer(p) or p < 1:
+            raise SymbolError(f"target dimension must be a positive integer, got {p!r}")
+        if is_finite_order(k):
+            if not is_integer(k) or k < 1:
+                raise SymbolError(f"jet order must be a positive integer or inf, got {k!r}")
+        self._fill(locals())
 
 
-@dataclass(frozen=True, slots=True)
-class BoardmanSymbol:
+class BoardmanSymbol(Record):
     """Nonincreasing tuple of nonnegative integers, length at least 1."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: tuple[int, ...]):
+        entries = tuple(entries)
         if not entries:
             raise SymbolError("symbol must be nonempty")
         for e in entries:
@@ -129,6 +124,7 @@ class BoardmanSymbol:
         for a, b in zip(entries, entries[1:]):
             if a < b:
                 raise NotMonotone(f"symbol entries increase: {a} < {b} in {entries}")
+        self._fill(locals())
 
     def __len__(self) -> int:
         return len(self.entries)

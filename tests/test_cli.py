@@ -2,6 +2,9 @@ import copy
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -798,3 +801,16 @@ def test_selfcheck_detects_corrupted_fixture():
 
 def test_determinant_oracle_check_runs():
     assert check_determinant_oracle() is None
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # In a fresh interpreter: the modules the import adds, whatever the
+    # interpreter's own start-up already loaded.
+    code = (
+        "import sys; before = set(sys.modules); import jetstrata.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

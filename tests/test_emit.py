@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from jetstrata import cli, gring
 
+from test_check_oracles import SHAPES, twisted_rings
 from test_cli import run_cli, write_json
 
 
@@ -92,3 +93,51 @@ def test_unprintable_report_creates_no_out_file(capsys, tmp_path):
     assert (status, out) == (2, "")
     assert err.startswith("ValueError: Exceeds the limit") and err.count("\n") == 1
     assert not out_path.exists()
+
+
+@st.composite
+def echoed_rings(draw):
+    """A twisted ring of the oracle tests, relabelled from ``_TEXT``; its top
+    degree is drawn too, so that some rings have one label or no product."""
+    mode = draw(st.sampled_from(sorted(SHAPES)))
+    step = 1 if mode == "mod2" else 2  # a degree that carries a label
+    top = draw(st.sampled_from(range(0, SHAPES[mode][1] + 1, step)))
+    twisted = draw(twisted_rings(mode, 1 if mode == "mod2" else draw(st.sampled_from([1, 2, 3])), top))
+    labels = draw(st.lists(_TEXT.filter(bool), min_size=len(twisted.labels), max_size=len(twisted.labels), unique=True))
+    name = dict(zip(twisted.labels, labels))
+    products = {
+        (name[a], name[b]): {name[t]: c for t, c in result.items()} for (a, b), result in twisted.products().items()
+    }
+    return gring.ManifoldRing(
+        mode, twisted.top, [(name[l], d) for l, d in twisted.basis()], products, name[twisted.fundamental()],
+        orientable=draw(st.booleans()),
+    )
+
+
+def _report(ring_value, stage_values, value):
+    return {
+        "command": "filtration",
+        "inputs": {"ring": ring_value, "k": value, "stages": [{"bundle": value, "ring": r} for r in stage_values]},
+        "intermediates": value,
+    }
+
+
+@pytest.mark.parametrize("chunk", [1, 7, cli.EMIT_CHUNK_CHARS])
+@settings(max_examples=40)
+@given(ring=echoed_rings(), stages=st.lists(echoed_rings(), max_size=2), value=_JSON)
+def test_ring_echo_matches_indented_json_dumps(chunk, ring, stages, value):
+    # Echoes at two depths, among other values, against the report holding
+    # each ring's document.
+    report = _report(cli.RingEcho(ring), [cli.RingEcho(r) for r in stages], value)
+    expected = indented(_report(ring.serialize(), [r.serialize() for r in stages], value))
+    with mock.patch.object(cli, "EMIT_CHUNK_CHARS", chunk):
+        assert emitted(report) == expected
+    assert indented(report) == expected
+
+
+def test_ring_echo_covers_one_label_and_empty_products():
+    point = gring.ManifoldRing("mod2", 0, [("{\\", 0)])
+    line = gring.ManifoldRing("mod2", 1, [("1", 0), ("]", 1)])
+    for ring in (point, line):
+        assert ring.serialize()["products"] == []
+        assert emitted({"ring": cli.RingEcho(ring)}) == indented({"ring": ring.serialize()})

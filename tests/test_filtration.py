@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from jetstrata.charclass import VirtualBundle, class_of_virtual, porteous_pontrjagin
+from jetstrata import criteria, selfcheck
+from jetstrata.charclass import ObstructionClass, VirtualBundle, class_of_virtual, porteous_pontrjagin
 from jetstrata.filtration import (
     DimensionMismatch,
     FiltrationError,
@@ -24,7 +25,7 @@ from jetstrata.gring import (
     tensor_component,
     truncated_polynomial_ring,
 )
-from jetstrata.symbols import INFINITE_ORDER, JetContext
+from jetstrata.symbols import INFINITE_ORDER, BoardmanSymbol, JetContext
 
 from conftest import ring_map_from_generators
 
@@ -353,3 +354,33 @@ def test_obstruction_splits_off_factor_term():
     )
     difference = obstruction.value - construction.inject_left(factor.value)
     assert tensor_component(difference, 4, 0) == product.zero()
+
+
+def test_records_are_immutable_and_compare_by_field():
+    ring = truncated_polynomial_ring("integer_mod_torsion", 32, [("t", 4)])
+    run = build_run(0, [8, 9], [VirtualBundle(ring.element({"1": 1, "t": 1, "t^2": 1}), ring.unit())])
+    stage = run.stages[0]
+    left, right = free_even_ring(8, "a"), free_even_ring(8, "b")
+    iso = ring_map_from_generators(right, left, {"b4": left.basis_element("a4"), "b8": left.basis_element("a8")})
+    iso_back = ring_map_from_generators(left, right, {"a4": right.basis_element("b4"), "a8": right.basis_element("b8")})
+    tangent = left.element({"1": 1, "a4": 3})
+    criterion = criteria.w_inclusion(5, 5, 3, 0, 9)
+    records = [
+        (JetContext(3, 4, 5), "n"), (BoardmanSymbol((2, 1)), "entries"), (stage.obstruction, "matrix"),
+        (criterion, "notes"),
+        (criteria.NonexistenceReport(criteria.INCONCLUSIVE, criteria.ROUTE_SW, criterion, None, ()), "verdict"),
+        (stage, "ring"), (run, "stages"), (double_construction(tangent, iso_back(tangent), iso, iso_back), "bundle"),
+        (selfcheck.CheckResult("check", True), "passed"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert JetContext(3, 4, 5) == JetContext(3, 4, 5) != JetContext(3, 4)
+    assert hash(JetContext(3, 4, 5)) == hash(JetContext(3, 4, 5))
+    assert criteria.w_inclusion(5, 5, 3, 0, 9) == criterion != criteria.w_inclusion(5, 5, 3, 0, 2)
+    # An obstruction class compares by its value and degrees, not by its matrix.
+    o = stage.obstruction
+    assert ObstructionClass(o.value, o.stratum_index, o.expected_degree, o.variant) == o
+    assert ObstructionClass(ring.zero(), o.stratum_index, o.expected_degree, o.variant) != o

@@ -286,6 +286,8 @@ BOOL_ARGUMENTS = {
     "next_index": (lambda: next_index(True), FiltrationError, "budget"),
     "invert_total_class through": (lambda: invert_total_class(_integer_bundle().ring.unit(), True), ValueError, "through"),
     "virtual_total through": (lambda: _integer_bundle().virtual_total(True), ValueError, "through"),
+    "element times scalar": (lambda: _integer_bundle().total_positive * True, TypeError, "'bool'"),
+    "scalar times element": (lambda: False * _integer_bundle().total_positive, TypeError, "'bool'"),
 }
 
 
