@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import accumulate, repeat
 from json.encoder import encode_basestring
-from operator import itemgetter
 
 from . import charclass, criteria, filtration, gring, symbols
 
@@ -34,7 +32,9 @@ def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle, object_pairs_hook=unique_keys)
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        except gring.PresentationError:
+            raise
+        except ValueError as error:  # not JSON, not UTF-8, or an integer literal too long to read
             raise gring.PresentationError(f"{path}: {error}") from None
         except RecursionError:
             raise gring.PresentationError(
@@ -74,17 +74,6 @@ def _report(command: str, inputs: dict, intermediates: dict, verdict, citations:
     }
 
 
-# The compact report text is laid out in chunks of about this many
-# characters, so the lists built along the way stay small.
-EMIT_CHUNK_CHARS = 1 << 16
-# Stand-ins for brackets inside strings and for the escapes \\ and \"; the
-# encoder escapes every control character inside a string, so none of them
-# occurs in its text.  \x0e marks the first line inside a container.
-_HIDE = str.maketrans("[]{}", "\x01\x02\x03\x04")
-_SHOW = str.maketrans({"\x01": "[", "\x02": "]", "\x03": "{", "\x04": "}", "\x05": "\\\\", "\x06": '\\"'})
-_STEP = {"\x0e": 1, "]": -1, "}": -1}
-
-
 def _emit(report: dict, out_path: str | None) -> None:
     """Write ``json.dumps(report, indent=2, sort_keys=True,
     ensure_ascii=False)`` and a newline, in one write; a ``RingEcho`` is
@@ -113,8 +102,8 @@ def _encode(value, depth: int, leads: list[str], pieces: list[str]) -> None:
     """Append the indent=2 text of ``value`` at ``depth`` to ``pieces``, its
     first line continuing the current one.  ``leads[d]`` is a newline and the
     indentation of depth d.  A ring echo is written from the ring's table, a
-    container that holds one item by item, and any other value from the
-    compact text of the C encoder."""
+    container that holds one item by item, and any other value as the
+    encoder's own indent=2 text."""
     if isinstance(value, RingEcho):
         pieces.append(_ring_text(value["ring"], depth, leads))
     elif isinstance(value, (dict, list)) and _holds_echo(value):
@@ -130,18 +119,9 @@ def _encode(value, depth: int, leads: list[str], pieces: list[str]) -> None:
             _encode(item, depth + 1, leads, pieces)
         pieces.append(leads[depth] + brackets[1])
     else:
-        # Every raw newline of the compact text ends an item, so chunks cut
-        # at newlines are laid out one by one, carrying the depth.
-        compact = json.dumps(value, sort_keys=True, ensure_ascii=False, separators=(",\n", ": "))
-        first, start, at = len(pieces), 0, depth
-        while start <= len(compact):
-            end = compact.find("\n", start + EMIT_CHUNK_CHARS)
-            if end < 0:
-                end = len(compact)
-            piece, at = _layout(compact[start:end], at, leads)
-            pieces.append(piece)
-            start = end + 1
-        pieces[first] = pieces[first][len(leads[depth]):]
+        # The encoder escapes every newline inside a string, so each raw one
+        # starts a line of the layout.
+        pieces.append(json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False).replace("\n", leads[depth]))
 
 
 def _ring_text(ring: gring.ManifoldRing, depth: int, leads: list[str]) -> str:
@@ -177,29 +157,6 @@ def _ring_text(ring: gring.ManifoldRing, depth: int, leads: list[str]) -> str:
         f'{l1}"products": [{l2}{products}{l1}],' if products else f'{l1}"products": [],',
         f'{l1}"topDim": {int.__repr__(ring.top_dim)}{l0}}}',
     ])
-
-
-def _layout(chunk: str, depth: int, leads: list[str]) -> tuple[str, int]:
-    """Each line of the indent=2 layout of ``chunk`` after a newline and the
-    indentation of its depth, ``leads[depth]``, and the depth after it."""
-    parts = chunk.replace("\\\\", "\x05").replace('\\"', "\x06").split('"')
-    strings = "".join(parts[1::2])
-    hidden = any(bracket in strings for bracket in "[]{}")
-    if hidden:
-        parts[1::2] = [string.translate(_HIDE) for string in parts[1::2]]
-        chunk = '"'.join(parts)
-    lines = (
-        chunk.replace("[", "[\n\x0e").replace("{", "{\n\x0e").replace("]", "\n]").replace("}", "\n}")
-        .replace("[\n\x0e\n]", "[]").replace("{\n\x0e\n}", "{}").split("\n")
-    )
-    depths = list(accumulate(map(_STEP.get, map(itemgetter(0), lines), repeat(0)), initial=depth))
-    while len(leads) <= max(depths):
-        leads.append(leads[-1] + "  ")
-    laid = [""] * (2 * len(lines))
-    laid[::2] = map(leads.__getitem__, depths[1:])
-    laid[1::2] = lines
-    text = "".join(laid).replace("\x0e", "")
-    return text.translate(_SHOW) if hidden else text, depths[-1]
 
 
 def _criterion_dict(report: criteria.CriterionReport) -> dict:

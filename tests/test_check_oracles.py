@@ -12,8 +12,9 @@ and gives single-term products with such coefficients.  One product entry or
 one map image is then perturbed, and the ring or map must be rejected exactly when
 the reference finds a failure, at the same first triple or pair.
 
-The exact rank behind the injectivity check is compared with elimination on
-fractions over Q and with the size of the row span over GF(2).
+Unperturbed maps must commute with the graded determinant and the inverse of
+a total class.  The exact rank behind the injectivity check is compared with
+elimination on fractions over Q and with the size of the row span over GF(2).
 """
 
 import itertools
@@ -23,7 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetstrata.gring import ManifoldRing, NonAssociative, PresentationError, RingMap, _rank, truncated_polynomial_ring
+from jetstrata.charclass import det_graded
+from jetstrata.gring import (
+    ManifoldRing, NonAssociative, PresentationError, RingMap, _rank, invert_total_class, truncated_polynomial_ring,
+)
+
+from test_degree_bound import totals
 
 # Generators and top dimension per coefficient mode; each has a degree that
 # carries several monomials, so the basis change mixes labels.
@@ -224,17 +230,17 @@ def perturbed_rings(draw, mode):
 
 
 @st.composite
-def perturbed_maps(draw, mode):
+def perturbed_maps(draw, mode, perturb=True):
     """The identity of the polynomial ring from one twisted basis to another,
     with one image changed by a multiple of a label of the same degree in
-    three draws out of four."""
+    three draws out of four, or never when ``perturb`` is false."""
     scale = _scale(draw, mode)
     source, target = draw(twisted_rings(mode, scale)), draw(twisted_rings(mode, scale))
     images = {
         label: target.from_monomials(source.monomial_coords(k))
         for k, label in enumerate(source.labels) if k
     }
-    if not draw(st.integers(0, 3)):
+    if not perturb or not draw(st.integers(0, 3)):
         return source, target, images
     k = draw(st.integers(1, len(source.labels) - 1))
     t = draw(st.sampled_from([j for j, d in enumerate(target.degree) if d == source.degree[k]]))
@@ -334,6 +340,34 @@ def test_map_into_a_lower_top_degree(mode):
         assert expected is not None
         with pytest.raises(PresentationError, match=rf"^map is not multiplicative on pair \({expected[0]!r}, {expected[1]!r}\)$"):
             RingMap(source, target, elements(changed))
+
+
+# -- naturality ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", sorted(SHAPES))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_ring_maps_commute_with_determinants_and_inverse_classes(mode, data):
+    # f(det M) = det f(M) and f(c^-1) = f(c)^-1 for a multiplicative f, here
+    # the identity of the polynomial ring between two twisted bases, so the
+    # two sides multiply with different structure constants.
+    source, target, images = data.draw(perturbed_maps(mode, perturb=False))
+    source_ring, target_ring = source.ring(source.products()), target.ring(target.products())
+    f = RingMap(
+        source_ring, target_ring, [target_ring.unit(), *(target_ring.element(images[label]) for label in source.labels[1:])]
+    )
+
+    def element():
+        return source_ring.element({label: data.draw(st.integers(-3, 3)) for label in source.labels})
+
+    size = data.draw(st.integers(0, 4))
+    matrix = [[element() for _ in range(size)] for _ in range(size)]
+    image = [[f(entry) for entry in row] for row in matrix]
+    assert f(det_graded(matrix, ring=source_ring)) == det_graded(image, ring=target_ring)
+    total = data.draw(totals(source_ring))
+    through = data.draw(st.none() | st.integers(0, source.top + 1))
+    assert f(invert_total_class(total, through)) == invert_total_class(f(total), through)
 
 
 # -- the rank behind the injectivity check ------------------------------------

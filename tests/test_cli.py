@@ -662,6 +662,31 @@ def test_deeply_nested_json_exits_2_naming_the_limit(capsys, tmp_path, bundle_fi
     assert err.startswith("PresentationError") and "nests deeper" in err
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("ring", '{"mode": "integer_mod_torsion", "topDim": ' + "4" * 5000 + "}"),
+        ("bundle", '{"totalPositive": [{"label": "1", "coeff": ' + "3" * 5000 + '}], "totalNegativePulled": []}'),
+    ],
+    ids=["ring", "bundle"],
+)
+def test_overlong_integer_literal_exits_2_naming_the_file(capsys, tmp_path, ring_file, bundle_file, name, text):
+    # json.load refuses an integer literal past the interpreter's
+    # integer-to-string limit with a bare ValueError; the file it is in must
+    # be named, since both documents are read.
+    path = tmp_path / f"long-{name}.json"
+    path.write_text(text, encoding="utf-8")
+    files = {"ring": str(ring_file), "bundle": str(bundle_file), name: str(path)}
+    status, out, err = run_cli(
+        capsys,
+        "porteous", "--variant", "pontrjagin",
+        "--ring", files["ring"], "--bundle", files["bundle"],
+        "--i", "2", "--n", "4", "--p", "4",
+    )
+    assert (status, out) == (2, "")
+    assert err.startswith(f"PresentationError: {path}: Exceeds the limit") and err.count("\n") == 1
+
+
 def test_repeated_json_key_exits_2_naming_file_and_key(capsys, tmp_path, ring_file):
     path = tmp_path / "bundle.json"
     # json.load alone would keep only the second total; the first must not vanish silently.

@@ -1,15 +1,14 @@
 """The report emitter.
 
 Its bytes are exactly ``json.dumps(report, indent=2, sort_keys=True,
-ensure_ascii=False) + "\\n"`` for any JSON value, at every chunk size, and a
-report that cannot be written fails as that one-shot text would: in one
-write, naming the same position, writing nothing.
+ensure_ascii=False) + "\\n"`` for any JSON value, with or without echoed
+rings, and a report that cannot be written fails as that one-shot text
+would: in one write, naming the same position, writing nothing.
 """
 
 import contextlib
 import io
 import json
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,34 +54,46 @@ def _nest(value_and_keys):
 _DEEP = st.tuples(_JSON, st.lists(st.none() | _TEXT, min_size=50, max_size=80)).map(_nest)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, cli.EMIT_CHUNK_CHARS])
+# A one-label ring, echoed beside the other values of a report.
+_POINT = gring.ManifoldRing("mod2", 0, [("1", 0)])
+
+
+def _padded(value, size):
+    # ``value`` beside a string of ``size`` characters that the encoder
+    # escapes or that look like its layout.
+    return [value, ('"\\\n[]{},: ' * size)[:size]]
+
+
+@pytest.mark.parametrize("size", [1, 7, 1 << 16])
 @settings(max_examples=60)
 @given(value=_JSON | _DEEP)
-def test_emitter_matches_indented_json_dumps(chunk, value):
-    with mock.patch.object(cli, "EMIT_CHUNK_CHARS", chunk):
-        assert emitted(value) == indented(value)
+def test_emitter_matches_indented_json_dumps(size, value):
+    # Alone, and one level down beside an echo, so that its text is re-based
+    # to that depth, next to a string from one character to past 64K.
+    assert emitted(value) == indented(value)
+    padded = _padded(value, size)
+    assert emitted({"ring": cli.RingEcho(_POINT), "value": padded}) == indented(
+        {"ring": _POINT.serialize(), "value": padded}
+    )
 
 
-@pytest.mark.parametrize("chunk", [1000, cli.EMIT_CHUNK_CHARS])
-def test_unencodable_report_fails_as_the_one_shot_text(capsys, tmp_path, chunk):
+@pytest.mark.parametrize("at", [1000, 1 << 16])
+def test_unencodable_report_fails_as_the_one_shot_text(capsys, tmp_path, at):
     # A lone surrogate is a legal JSON label but cannot be written as UTF-8;
-    # the report spans several chunks, and at the smaller size the label
-    # first appears past the first chunk.
-    spec = gring.truncated_polynomial_ring("mod2", 120, [("w", 1)]).serialize()
+    # it ends a label of the echoed ring, which is written from the ring's
+    # table, ``at`` characters into the label and so past ``at`` in the report.
+    spec = gring.truncated_polynomial_ring("mod2", 8, [("w", 1)]).serialize()
     ring_path, bundle_path = tmp_path / "ring.json", tmp_path / "bundle.json"
-    write_json(ring_path, json.loads(json.dumps(spec).replace('"w^60"', '"\\ud800"')))
+    write_json(ring_path, json.loads(json.dumps(spec).replace('"w^4"', json.dumps("w" * at + "\ud800"))))
     write_json(bundle_path, {"totalPositive": [{"label": "1", "coeff": 1}], "totalNegativePulled": [{"label": "1", "coeff": 1}]})
     argv = ["porteous", "--variant", "sw", "--ring", str(ring_path), "--bundle", str(bundle_path),
             "--i", "1", "--n", "3", "--p", "3"]
     args = cli._build_parser().parse_args(argv)
     report = args.handler(args)
-    compact = json.dumps(report, sort_keys=True, ensure_ascii=False, separators=(",\n", ": "))
-    assert len(compact) > 3 * cli.EMIT_CHUNK_CHARS
-    assert compact.index("\ud800") > 1000
+    assert indented(report).index("\ud800") > at
     with pytest.raises(UnicodeEncodeError) as raised:
         indented(report).encode("utf-8")
-    with mock.patch.object(cli, "EMIT_CHUNK_CHARS", chunk):
-        assert run_cli(capsys, *argv) == (2, "", f"UnicodeEncodeError: {raised.value}\n")
+    assert run_cli(capsys, *argv) == (2, "", f"UnicodeEncodeError: {raised.value}\n")
 
 
 def test_unprintable_report_creates_no_out_file(capsys, tmp_path):
@@ -122,16 +133,16 @@ def _report(ring_value, stage_values, value):
     }
 
 
-@pytest.mark.parametrize("chunk", [1, 7, cli.EMIT_CHUNK_CHARS])
+@pytest.mark.parametrize("size", [1, 7, 1 << 16])
 @settings(max_examples=40)
 @given(ring=echoed_rings(), stages=st.lists(echoed_rings(), max_size=2), value=_JSON)
-def test_ring_echo_matches_indented_json_dumps(chunk, ring, stages, value):
-    # Echoes at two depths, among other values, against the report holding
-    # each ring's document.
+def test_ring_echo_matches_indented_json_dumps(size, ring, stages, value):
+    # Echoes at two depths, among other values beside a string of ``size``
+    # characters, against the report holding each ring's document.
+    value = _padded(value, size)
     report = _report(cli.RingEcho(ring), [cli.RingEcho(r) for r in stages], value)
     expected = indented(_report(ring.serialize(), [r.serialize() for r in stages], value))
-    with mock.patch.object(cli, "EMIT_CHUNK_CHARS", chunk):
-        assert emitted(report) == expected
+    assert emitted(report) == expected
     assert indented(report) == expected
 
 
