@@ -11,6 +11,7 @@ failure naming the violated invariant, 1 an internal inconsistency.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from json.encoder import encode_basestring
@@ -446,6 +447,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # One command's data is acyclic (JSON trees and tuple tables), and the
+    # cyclic garbage it leaves, argparse's parsers and the encoder's closures,
+    # does not grow with its input; the cyclic collector would only re-walk
+    # the parsed document and the product table as they grow.  main() leaves
+    # the collector alone, so callers that run it in-process keep theirs.
+    gc.disable()
     sys.exit(main())
 
 

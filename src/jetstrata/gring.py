@@ -263,9 +263,11 @@ class ManifoldRing:
     def _install_products(self, products: Mapping) -> None:
         """Store each product a*b of ``products`` (see the class docstring),
         its terms checked in one pass: a known label, an integer coefficient
-        and, when nonzero, the degree of a*b."""
-        position, degrees, normal = self.position, self.degrees, self._normal
+        and, when nonzero, the degree of a*b.  A plain int is accepted by its
+        type alone and reduced inline, so its check calls no Python function."""
+        position, degrees = self.position, self.degrees
         unit, table = self.unit_position, self._table
+        mod2 = self.mode is CoefficientMode.MOD2
         for (a, b), result in products.items():
             i, j = position.get(a), position.get(b)
             if i is None or j is None:
@@ -276,9 +278,9 @@ class ManifoldRing:
                 t = position.get(label)
                 if t is None:
                     raise PresentationError(f"product {a!r}*{b!r} targets unknown label {label!r}")
-                if not is_integer(coefficient):
+                if type(coefficient) is not int and not is_integer(coefficient):
                     raise PresentationError(f"coefficient of {label!r} in {a!r}*{b!r} must be an integer")
-                if value := normal(coefficient):
+                if value := coefficient % 2 if mod2 else coefficient:
                     if degrees[t] != target_degree:
                         raise PresentationError(
                             f"product {a!r}*{b!r} (degree {target_degree}) targets {label!r} "
@@ -294,7 +296,7 @@ class ManifoldRing:
                     raise BadUnit(f"product with the unit must reproduce the other factor: {a!r}*{b!r}")
                 continue  # implied, not stored
             key = (i, j) if i <= j else (j, i)
-            packed = tuple(sorted(cleaned.items()))
+            packed = tuple(sorted(cleaned.items()) if len(cleaned) > 1 else cleaned.items())
             stored = table.get(key)
             if stored is not None and stored != packed:
                 pair = (self.labels[key[0]], self.labels[key[1]])
@@ -315,21 +317,34 @@ class ManifoldRing:
         """Non-unit position triples x <= y <= z whose degrees sum to at most
         top_dim, one (x, y, [z, ...]) per pair that has a z, in the order of
         ``combinations_with_replacement``; past MAX_ASSOC_TRIPLES triples, a
-        PresentationError before the first.  One pass walks the pairs of
-        degree at most top - (least non-unit degree); each has its own bounded
-        triple {x, y, a least-degree label}, so it stops at the cap too."""
+        PresentationError before the first.
+
+        The cap also counts the pairs of degree at most top - (least non-unit
+        degree), by the length of each x's list of partners: each such pair
+        has its own bounded triple {x, y, a least-degree label}.  Only the pairs
+        with a z are stepped: reach[y], deg y plus the least non-unit degree
+        at or after position y, is at most top - deg x exactly for those."""
         degrees, top, unit, cap = self.degrees, self.top_dim, self.unit_position, MAX_ASSOC_TRIPLES
         at_most = _positions_at_most(degrees, unit)
-        least = min(filter(None, degrees), default=0)  # only the unit has degree 0
-        slices, triples = [], 0
-        for pairs, (x, y) in enumerate(_bounded_pairs(degrees, unit, top - least, at_most), 1):
-            zs = at_most(top - degrees[x] - degrees[y])
-            lo = bisect_left(zs, y)
-            triples += len(zs) - lo
+        # floor[p]: the least non-unit degree at or after position p.  Only
+        # the unit has degree 0; it is no z, so it counts as past the top.
+        floor = list(itertools.accumulate([d or top + 1 for d in reversed(degrees)], min))[::-1]
+        reaching = _positions_at_most([d + f for d, f in zip(degrees, floor)], unit)
+        least = floor[0]
+        slices, pairs, triples = [], 0, 0
+        for x in at_most(top - least):
+            partners = at_most(top - least - degrees[x])
+            pairs += len(partners) - bisect_left(partners, x)
+            ys = reaching(top - degrees[x])
+            for y in ys[bisect_left(ys, x):]:
+                zs = at_most(top - degrees[x] - degrees[y])
+                lo = bisect_left(zs, y)
+                triples += len(zs) - lo
+                if triples > cap:
+                    break
+                slices.append((x, y, zs[lo:]))
             if pairs > cap or triples > cap:
                 raise PresentationError(f"associativity check exceeds the cap MAX_ASSOC_TRIPLES = {cap} triples")
-            if lo < len(zs):
-                slices.append((x, y, zs[lo:]))
         yield from slices
 
     def _verify_associativity(self) -> None:
@@ -545,7 +560,7 @@ class RingMap:
     """Degree-preserving, unit-preserving, multiplicative map between rings.
 
     ``images`` holds one target element per source basis position, the
-    unit's included; ``map_from_spec`` reads a map by label.
+    unit's included.
     Multiplicativity is verified at construction on the basis pairs at or
     below the target's top degree: images keep their degree and no product
     lives above a top, so above it both sides are zero.
@@ -579,14 +594,6 @@ class RingMap:
         if c.ring is not self.source:
             raise RingMismatch("element does not belong to the map's source ring")
         return sum((self.images[p] * v for p, v in c.coeffs.items()), self.target.zero())
-
-    def serialize(self) -> dict:
-        return {
-            "images": [
-                {"from": label, "to": element_to_spec(image)}
-                for label, image in zip(self.source.labels, self.images)
-            ]
-        }
 
 
 TENSOR_SEPARATOR = "⊗"  # the label glue used by kunneth_product
@@ -807,24 +814,6 @@ def make_ring(spec: dict) -> ManifoldRing:
             raise PresentationError(f"duplicate product entry for pair {(a, b)!r}")
         products[a, b] = terms
     return ManifoldRing(mode, top_dim, basis, products, fundamental, orientable=orientable)
-
-
-def map_from_spec(source: ManifoldRing, target: ManifoldRing, spec: dict) -> RingMap:
-    """Read a map document: one image per source label, the unit's optional."""
-    images = {}
-    for entry in read_field(spec, "images", list, "map presentation"):
-        label = read_field(entry, "from", str, "map image")
-        if label in images:
-            raise PresentationError(f"duplicate image for {label!r}")
-        images[label] = element_from_spec(target, read_field(entry, "to", list, "map image"))
-    images.setdefault(source.labels[source.unit_position], target.unit())
-    for label in source.labels:
-        if label not in images:
-            raise PresentationError(f"missing image for basis label {label!r}")
-    for label in images:
-        if label not in source.position:
-            raise PresentationError(f"image given for unknown label {label!r}")
-    return RingMap(source, target, [images[label] for label in source.labels])
 
 
 def truncated_polynomial_ring(

@@ -1,5 +1,6 @@
 import copy
 import contextlib
+import gc
 import io
 import json
 import os
@@ -828,6 +829,14 @@ def test_determinant_oracle_check_runs():
     assert check_determinant_oracle() is None
 
 
+def fresh_python(code, *argv):
+    """Run ``code`` with ``argv`` in a fresh interpreter that imports this
+    checkout's jetstrata; its completed process, which must exit 0."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # In a fresh interpreter: the modules the import adds, whatever the
     # interpreter's own start-up already loaded.
@@ -835,7 +844,60 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         "import sys; before = set(sys.modules); import jetstrata.cli; "
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
     )
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    assert fresh_python(code).stdout == "[]\n"
+
+
+def test_main_leaves_the_cyclic_collector_as_it_found_it(capsys, ring_file, bundle_file):
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for argv in (
+                ["porteous", "--variant", "pontrjagin", "--ring", str(ring_file), "--bundle", str(bundle_file),
+                 "--i", "2", "--n", "4", "--p", "4"],
+                ["porteous", "--variant", "sw", "--ring", str(ring_file), "--bundle", str(bundle_file),
+                 "--i", "2", "--n", "4", "--p", "4"],  # exits 2: the ring is not mod 2
+                ["codim", "--symbol", "2,1,0", "--n", "3"],  # exits 2 in argparse
+            ):
+                run_cli(capsys, *argv)
+                assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_entry_runs_the_command_with_the_cyclic_collector_off():
+    code = (
+        "import gc, sys; from jetstrata import cli; "
+        "codim = cli._run_codim; "
+        "cli._run_codim = lambda args: (print('collector', gc.isenabled(), file=sys.stderr), codim(args))[1]; "
+        "print('before', gc.isenabled(), file=sys.stderr); cli.entry()"
+    )
+    done = fresh_python(code, "codim", "--symbol", "2,1,0", "--n", "3", "--p", "3")
+    assert done.stderr == "before True\ncollector False\n"
+    assert json.loads(done.stdout)["intermediates"]["bound"] == 5
+
+
+def test_the_cyclic_garbage_of_a_command_does_not_grow_with_its_ring(tmp_path):
+    # With the collector off, gc.collect() after one porteous command counts
+    # the unreachable cycles it left.  The count differs between
+    # interpreters, so an 8-label and a 515-label ring are compared.
+    code = (
+        "import gc, sys; from jetstrata import cli; gc.disable(); gc.collect(); "
+        "status = cli.main(sys.argv[1:]); print(status, gc.collect())"
+    )
+    counts = []
+    for name, ring, dim in [
+        ("small", gring.truncated_polynomial_ring("mod2", 7, [("w", 1)]), 7),
+        ("session", gring.truncated_polynomial_ring("mod2", 18, [("a", 1), ("b", 2), ("c", 3), ("d", 4)],
+                                                    fundamental="a^18"), 18),
+    ]:
+        ring_path, bundle_path = tmp_path / f"{name}-ring.json", tmp_path / f"{name}-bundle.json"
+        write_json(ring_path, ring.serialize())
+        write_json(bundle_path, {"totalPositive": [{"label": "1", "coeff": 1}, {"label": ring.labels[1], "coeff": 1}],
+                                 "totalNegativePulled": [{"label": "1", "coeff": 1}]})
+        argv = ["porteous", "--variant", "sw", "--ring", str(ring_path), "--bundle", str(bundle_path),
+                "--i", "2", "--n", str(dim), "--p", str(dim), "--out", str(tmp_path / "report.json")]
+        status, count = fresh_python(code, *argv).stdout.split()
+        assert (len(ring.labels), status) == ({"small": 8, "session": 515}[name], "0")
+        counts.append(int(count))
+    assert counts[0] == counts[1]

@@ -4,6 +4,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetstrata import gring
 from jetstrata.gring import (
@@ -174,6 +175,43 @@ def test_associativity_triple_cap_is_exact(monkeypatch):
         make_ring({**spec, "products": bad})
 
 
+@settings(max_examples=200)
+@given(data=st.data())
+def test_triple_slices_match_the_bounded_brute_force(data):
+    # Positions are shuffled, so they do not follow degrees, and the least
+    # degree after a position varies along the basis.
+    top = data.draw(st.integers(0, 9), label="top")
+    degrees = data.draw(st.lists(st.integers(1, top), max_size=14), label="degrees") if top else []
+    basis = [("1", 0), *((f"e{k}", d) for k, d in enumerate(degrees))] + ([("f", top)] if top else [])
+    basis = data.draw(st.permutations(basis), label="basis")
+    ring = ManifoldRing("mod2", top, basis, fundamental="f" if top else "1", verify=False)
+    degrees, unit = ring.degrees, ring.unit_position
+    expected: dict[tuple[int, int], list[int]] = {}
+    for x, y, z in itertools.combinations_with_replacement([p for p in range(len(degrees)) if p != unit], 3):
+        if degrees[x] + degrees[y] + degrees[z] <= top:
+            expected.setdefault((x, y), []).append(z)
+    assert list(ring._triple_slices()) == [(x, y, zs) for (x, y), zs in expected.items()]
+
+
+def test_pairs_without_a_third_factor_count_toward_the_triple_cap(monkeypatch):
+    # Under top 5 with one degree-1 label a between the degree-2 labels, a
+    # pair (x, f_j) has no z >= f_j, yet each bounded pair has its own bounded
+    # triple {x, y, a}.  The walked pairs stay inside the cap; the bounded
+    # pairs, those without a z among them, number the triples and pass it.
+    basis = [("1", 0), *((f"e{j}", 2) for j in range(4)), ("a", 1), *((f"f{j}", 2) for j in range(4)), ("t", 5)]
+    ring = ManifoldRing("mod2", 5, basis, fundamental="t", verify=False)
+    count = sum(len(zs) for _, _, zs in ring._triple_slices())
+    walked = len(list(ring._triple_slices()))
+    bounded = list(gring._bounded_pairs(ring.degrees, ring.unit_position, 4))
+    assert walked < count - 1 < len(bounded) == count
+    spec = ring.serialize()
+    monkeypatch.setattr(gring, "MAX_ASSOC_TRIPLES", count)
+    assert make_ring(spec).serialize() == spec
+    monkeypatch.setattr(gring, "MAX_ASSOC_TRIPLES", count - 1)
+    with pytest.raises(PresentationError, match=f"^associativity check exceeds the cap MAX_ASSOC_TRIPLES = {count - 1} triples$"):
+        make_ring(spec)
+
+
 def test_triple_cap_refuses_before_the_first_triple():
     # The 400-label ring of the CLI cap test, built without the check: of
     # its 10,746,800 bounded triples the walk meets only the first past the
@@ -267,6 +305,37 @@ def test_inconsistent_presentations_are_refused(name):
     mode, basis, products, message = REFUSED_PRESENTATIONS[name]
     with pytest.raises(PresentationError, match=message):
         ManifoldRing(mode, 4, basis, products, "z")
+
+
+class _Count(int):
+    """A caller's own integer type."""
+
+
+# (mode, coefficient of z in x*y given in Python, stored coefficient or the
+# refusal's message).
+_PYTHON_COEFFICIENTS = {
+    "int subclass": ("integer_mod_torsion", _Count(3), 3),
+    "int subclass mod 2": ("mod2", _Count(3), 1),
+    "negative mod 2": ("mod2", -3, 1),
+    "negative": ("integer_mod_torsion", -3, -3),
+    "even mod 2": ("mod2", 2, None),
+    "bool": ("integer_mod_torsion", True, "coefficient of 'z' in 'x'*'y' must be an integer"),
+    "bool mod 2": ("mod2", True, "coefficient of 'z' in 'x'*'y' must be an integer"),
+    "float": ("integer_mod_torsion", 1.0, "coefficient of 'z' in 'x'*'y' must be an integer"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PYTHON_COEFFICIENTS))
+def test_python_product_coefficients_are_stored_by_value(name):
+    mode, coefficient, stored = _PYTHON_COEFFICIENTS[name]
+    if isinstance(stored, str):
+        with pytest.raises(PresentationError) as raised:
+            ManifoldRing(mode, 4, _XY, {("x", "y"): {"z": coefficient}}, "z")
+        assert (type(raised.value), str(raised.value)) == (PresentationError, stored)
+        return
+    ring = ManifoldRing(mode, 4, _XY, {("x", "y"): {"z": coefficient}}, "z")
+    assert ring._table == ({(1, 2): ((3, stored),)} if stored else {})
+    assert ring.serialize()["products"] == ([{"a": "x", "b": "y", "result": [{"label": "z", "coeff": stored}]}] if stored else [])
 
 
 def test_explicit_unit_products_are_accepted_and_not_stored():
@@ -673,35 +742,10 @@ def test_element_spec_round_trip(four_ring):
     assert gring.element_from_spec(four_ring, spec) == c
 
 
-def test_map_spec_round_trip():
-    a = four_manifold_ring()
-    b = four_manifold_ring()
-    original = RingMap(a, b, [b.unit(), -1 * b.basis_element("x"), b.basis_element("x2")])
-    spec = original.serialize()
-    assert [entry["from"] for entry in spec["images"]] == ["1", "x", "x2"]
-    again = gring.map_from_spec(a, b, spec)
-    assert again.serialize() == spec
-    assert again(a.basis_element("x")) == -1 * b.basis_element("x")
-
-
-def _images(*pairs):
-    """A map document's images: (from, to label, coefficient) triples."""
-    return {"images": [{"from": a, "to": [{"label": b, "coeff": c}]} for a, b, c in pairs]}
-
-
-_NEGATE_X = [("1", "1", 1), ("x", "x", -1), ("x2", "x2", 1)]
-
-
 @pytest.mark.parametrize("build, error, message", [
-    (lambda a, b: gring.map_from_spec(a, b, _images(*_NEGATE_X[:2])),
-     PresentationError, "missing image for basis label 'x2'"),
-    (lambda a, b: gring.map_from_spec(a, b, _images(*_NEGATE_X, ("y", "x", 1))),
-     PresentationError, "image given for unknown label 'y'"),
-    (lambda a, b: gring.map_from_spec(a, b, _images(*_NEGATE_X, ("x", "x", 1))),
-     PresentationError, "duplicate image for 'x'"),
-    (lambda a, b: gring.map_from_spec(a, b, _images(("1", "1", 2), *_NEGATE_X[1:])),
+    (lambda a, b: RingMap(a, b, [2 * b.unit(), -1 * b.basis_element("x"), b.basis_element("x2")]),
      BadUnit, "map must send the unit to the unit"),
-    (lambda a, b: gring.map_from_spec(a, b, _images(("1", "1", 1), ("x", "x2", 1), ("x2", "x2", 1))),
+    (lambda a, b: RingMap(a, b, [b.unit(), b.basis_element("x2"), b.basis_element("x2")]),
      PresentationError, "image of position 1 does not preserve degree"),
     (lambda a, b: RingMap(a, b, [b.unit(), a.basis_element("x"), b.basis_element("x2")]),
      RingMismatch, "image of position 1 is not an element of the target ring"),
@@ -709,28 +753,13 @@ _NEGATE_X = [("1", "1", 1), ("x", "x", -1), ("x2", "x2", 1)]
      PresentationError, "a map from 3 basis elements needs as many images, got 2"),
     (lambda a, b: RingMap(a, b, [b.unit(), -1 * b.basis_element("x"), b.basis_element("x2"), b.zero()]),
      PresentationError, "a map from 3 basis elements needs as many images, got 4"),
-], ids=["missing", "unknown", "duplicate", "unit", "degree", "ring", "too-few", "too-many"])
+], ids=["unit", "degree", "ring", "too-few", "too-many"])
 def test_map_edge_messages(build, error, message):
     a, b = four_manifold_ring(), four_manifold_ring()
     with pytest.raises(error) as raised:
         build(a, b)
     assert type(raised.value) is error
     assert str(raised.value) == message
-
-
-def test_map_spec_takes_the_unit_image_by_default():
-    a, b = four_manifold_ring(), four_manifold_ring()
-    implied = gring.map_from_spec(a, b, _images(*_NEGATE_X[1:]))
-    assert implied.serialize() == gring.map_from_spec(a, b, _images(*_NEGATE_X)).serialize()
-    assert implied.images == (b.unit(), -1 * b.basis_element("x"), b.basis_element("x2"))
-
-
-def test_map_spec_rejects_a_non_string_source_label():
-    a = four_manifold_ring()
-    b = four_manifold_ring()
-    spec = {"images": [{"from": ["x"], "to": [{"label": "x", "coeff": 1}]}]}
-    with pytest.raises(PresentationError, match="'from'"):
-        gring.map_from_spec(a, b, spec)
 
 
 def test_truncated_polynomial_ring_shape():
