@@ -44,25 +44,10 @@ def _load_json(path: str):
             ) from None
 
 
-class RingEcho(dict):
-    """A ring where a report echoes it.  ``_emit`` writes its canonical
-    document straight from the ring's table; to any other JSON encoder, which
-    reads a dict through ``items()``, it is that document,
-    ``ring.serialize()``."""
-
-    __slots__ = ()
-
-    def __init__(self, ring: gring.ManifoldRing):
-        super().__init__(ring=ring)
-
-    def items(self):
-        return self["ring"].serialize().items()
-
-
 def _load_bundle(args) -> tuple[charclass.VirtualBundle, dict]:
-    """The bundle of ``--ring`` and ``--bundle``, and both echoed in canonical form."""
+    """The bundle of ``--ring`` and ``--bundle``, and their echo: the ring itself and the bundle's document."""
     bundle = charclass.bundle_from_spec(gring.make_ring(_load_json(args.ring)), _load_json(args.bundle))
-    return bundle, {"ring": RingEcho(bundle.ring), "bundle": charclass.bundle_to_spec(bundle)}
+    return bundle, {"ring": bundle.ring, "bundle": charclass.bundle_to_spec(bundle)}
 
 
 def _report(command: str, inputs: dict, intermediates: dict, verdict, citations: list[str]) -> dict:
@@ -77,8 +62,8 @@ def _report(command: str, inputs: dict, intermediates: dict, verdict, citations:
 
 def _emit(report: dict, out_path: str | None) -> None:
     """Write ``json.dumps(report, indent=2, sort_keys=True,
-    ensure_ascii=False)`` and a newline, in one write; a ``RingEcho`` is
-    written as its ring's document."""
+    ensure_ascii=False)`` and a newline, in one write; a ring is written as
+    its document ``ring.serialize()``."""
     pieces: list[str] = []
     _encode(report, 0, ["\n"], pieces)
     pieces.append("\n")
@@ -90,24 +75,24 @@ def _emit(report: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _holds_echo(value) -> bool:
-    """Whether a ``RingEcho`` sits anywhere in ``value``."""
-    if isinstance(value, RingEcho):
+def _holds_ring(value) -> bool:
+    """Whether a ring sits anywhere in ``value``."""
+    if isinstance(value, gring.ManifoldRing):
         return True
     if isinstance(value, dict):
-        return any(map(_holds_echo, value.values()))
-    return isinstance(value, list) and any(map(_holds_echo, value))
+        return any(map(_holds_ring, value.values()))
+    return isinstance(value, list) and any(map(_holds_ring, value))
 
 
 def _encode(value, depth: int, leads: list[str], pieces: list[str]) -> None:
     """Append the indent=2 text of ``value`` at ``depth`` to ``pieces``, its
     first line continuing the current one.  ``leads[d]`` is a newline and the
-    indentation of depth d.  A ring echo is written from the ring's table, a
-    container that holds one item by item, and any other value as the
-    encoder's own indent=2 text."""
-    if isinstance(value, RingEcho):
-        pieces.append(_ring_text(value["ring"], depth, leads))
-    elif isinstance(value, (dict, list)) and _holds_echo(value):
+    indentation of depth d.  A ring is written from its table, a container
+    that holds one item by item, and any other value as the encoder's own
+    indent=2 text."""
+    if isinstance(value, gring.ManifoldRing):
+        pieces.append(_ring_text(value, depth, leads))
+    elif isinstance(value, (dict, list)) and _holds_ring(value):
         if len(leads) <= depth + 1:
             leads.append(leads[-1] + "  ")
         if isinstance(value, dict):
@@ -333,7 +318,7 @@ def _run_filtration(args) -> dict:
         "d": run.depth,
         "schedule": list(run.schedule),
         "stages": [
-            {"ring": RingEcho(stage.ring), "bundle": charclass.bundle_to_spec(stage.bundle)}
+            {"ring": stage.ring, "bundle": charclass.bundle_to_spec(stage.bundle)}
             for stage in run.stages
         ],
     }

@@ -150,11 +150,11 @@ def _positions_at_most(degrees: Sequence[int], unit: int) -> Callable[[int], lis
     return lambda bound: built(bisect_right(keys, bound))
 
 
-def _bounded_pairs(degrees: Sequence[int], unit: int, bound: int, at_most=None) -> Iterator[tuple[int, int]]:
+def _bounded_pairs(degrees: Sequence[int], unit: int, bound: int) -> Iterator[tuple[int, int]]:
     """The position pairs x <= y, neither ``unit``, whose degrees sum to at
     most ``bound``, in the order of ``combinations_with_replacement``; no
-    other pair is visited.  ``at_most`` shares ``_positions_at_most``'s lists."""
-    at_most = at_most or _positions_at_most(degrees, unit)
+    other pair is visited."""
+    at_most = _positions_at_most(degrees, unit)
     for x in at_most(bound):
         ys = at_most(bound - degrees[x])
         yield from zip(itertools.repeat(x), ys[bisect_left(ys, x):])
@@ -319,32 +319,25 @@ class ManifoldRing:
         ``combinations_with_replacement``; past MAX_ASSOC_TRIPLES triples, a
         PresentationError before the first.
 
-        The cap also counts the pairs of degree at most top - (least non-unit
-        degree), by the length of each x's list of partners: each such pair
-        has its own bounded triple {x, y, a least-degree label}.  Only the pairs
-        with a z are stepped: reach[y], deg y plus the least non-unit degree
-        at or after position y, is at most top - deg x exactly for those."""
+        Only the pairs with a z are stepped: reach[y], deg y plus the least
+        non-unit degree at or after position y, is at most top - deg x
+        exactly for those."""
         degrees, top, unit, cap = self.degrees, self.top_dim, self.unit_position, MAX_ASSOC_TRIPLES
         at_most = _positions_at_most(degrees, unit)
         # floor[p]: the least non-unit degree at or after position p.  Only
         # the unit has degree 0; it is no z, so it counts as past the top.
         floor = list(itertools.accumulate([d or top + 1 for d in reversed(degrees)], min))[::-1]
         reaching = _positions_at_most([d + f for d, f in zip(degrees, floor)], unit)
-        least = floor[0]
-        slices, pairs, triples = [], 0, 0
-        for x in at_most(top - least):
-            partners = at_most(top - least - degrees[x])
-            pairs += len(partners) - bisect_left(partners, x)
+        slices, triples = [], 0
+        for x in at_most(top - floor[0]):
             ys = reaching(top - degrees[x])
             for y in ys[bisect_left(ys, x):]:
                 zs = at_most(top - degrees[x] - degrees[y])
                 lo = bisect_left(zs, y)
                 triples += len(zs) - lo
                 if triples > cap:
-                    break
+                    raise PresentationError(f"associativity check exceeds the cap MAX_ASSOC_TRIPLES = {cap} triples")
                 slices.append((x, y, zs[lo:]))
-            if pairs > cap or triples > cap:
-                raise PresentationError(f"associativity check exceeds the cap MAX_ASSOC_TRIPLES = {cap} triples")
         yield from slices
 
     def _verify_associativity(self) -> None:
@@ -623,6 +616,13 @@ class TensorRing(ManifoldRing):
         for p, t in enumerate(self.factor_positions):
             self._position_of[sum(a * stride for a, stride in zip(t, self._strides))] = p
         labels = [TENSOR_SEPARATOR.join(f.labels[a] for f, a in zip(self.factors, t)) for t in self.factor_positions]
+        if len(set(labels)) < len(labels):  # the joins are distinct unless a factor label holds the glue
+            seen: set[str] = set()
+            repeated = next(label for label in labels if label in seen or seen.add(label))
+            raise PresentationError(
+                f"tensor basis label {repeated!r} names two tensors: "
+                f"factor labels contain TENSOR_SEPARATOR = {TENSOR_SEPARATOR!r}"
+            )
         # Each factor was checked when it was built, and a tensor product of
         # associative rings is associative: nothing to verify.
         super().__init__(
@@ -712,6 +712,8 @@ def tensor_component(c: GradedElement, *degrees: int) -> GradedElement:
         raise PresentationError("element does not belong to a tensor ring")
     if len(degrees) != len(ring.factors):
         raise PresentationError(f"tensor ring has {len(ring.factors)} factors, got {len(degrees)} degrees")
+    if not all(map(is_integer, degrees)):
+        raise PresentationError(f"tensor component degrees must be integers, got {degrees!r}")
     factors, positions = ring.factors, ring.factor_positions
     return GradedElement(ring, {
         p: v for p, v in c.coeffs.items() if tuple(f.degrees[a] for f, a in zip(factors, positions[p])) == degrees

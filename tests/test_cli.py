@@ -449,6 +449,25 @@ def test_filtration_run_past_the_product_cap_exits_2_at_once(capsys, tmp_path):
     )
 
 
+def test_filtration_run_with_colliding_tensor_labels_exits_2(capsys, tmp_path):
+    # With t2 relabelled "t1⊗t1", the tensors t1⊗t1 ⊗ t1 and t1 ⊗ t1⊗t1 of a
+    # depth-1 run share a label; a depth-0 run joins no labels.
+    def run(depth):
+        spec_path = tmp_path / f"run{depth}.json"
+        write_json(spec_path, json.loads(json.dumps(_stage_run_document(depth)).replace('"t2"', '"t1⊗t1"')))
+        return run_cli(capsys, "filtration", "run", "--spec", str(spec_path))
+
+    assert run(1) == (
+        2,
+        "",
+        "PresentationError: tensor basis label 't1⊗t1⊗t1' names two tensors: "
+        "factor labels contain TENSOR_SEPARATOR = '⊗'\n",
+    )
+    status, out, err = run(0)
+    assert (status, err) == (0, "")
+    assert parse_report(out)["verdict"] == "RunVerified"
+
+
 def test_porteous_on_a_ring_past_the_triple_cap_exits_2(capsys, tmp_path, bundle_file):
     # 400 degree-1 labels under a degree-3 fundamental class and no products:
     # 10,746,800 bounded triples, several seconds to walk them all.  The

@@ -602,6 +602,20 @@ def test_tensor_component_takes_one_degree_per_factor():
             tensor_component(mixed, *degrees)
 
 
+def test_kunneth_label_collision_names_the_label_and_the_separator():
+    # x⊗x ⊗ x and x ⊗ x⊗x, both of degree 3, would share the label "x⊗x⊗x".
+    a = ManifoldRing("mod2", 2, [("1", 0), ("x", 1), ("x⊗x", 2)], {("x", "x"): {"x⊗x": 1}})
+    b = ManifoldRing("mod2", 2, [("1", 0), ("x", 1), ("y", 2)], {("x", "x"): {"y": 1}})
+    with pytest.raises(PresentationError) as raised:
+        kunneth_product(a, a)
+    assert str(raised.value) == (
+        "tensor basis label 'x⊗x⊗x' names two tensors: factor labels contain TENSOR_SEPARATOR = '⊗'"
+    )
+    # A label holding the glue is refused only where two joins meet.
+    assert kunneth_product(a)[0].labels == a.labels
+    assert {"x⊗x⊗1", "x⊗x⊗y"} <= set(kunneth_product(a, b)[0].labels)
+
+
 def test_kunneth_product_needs_a_factor():
     with pytest.raises(PresentationError):
         kunneth_product()

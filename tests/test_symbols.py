@@ -8,7 +8,7 @@ import pytest
 from jetstrata import symbols
 from jetstrata.charclass import CharClassError, VirtualBundle, porteous_pontrjagin, porteous_sw
 from jetstrata.filtration import FiltrationError, StageOutOfRange, build_run, next_index, product_obstruction
-from jetstrata.gring import invert_total_class, truncated_polynomial_ring
+from jetstrata.gring import PresentationError, invert_total_class, kunneth_product, tensor_component, truncated_polynomial_ring
 from jetstrata.symbols import (
     INFINITE_ORDER,
     BoardmanSymbol,
@@ -286,6 +286,11 @@ BOOL_ARGUMENTS = {
     "next_index": (lambda: next_index(True), FiltrationError, "budget"),
     "invert_total_class through": (lambda: invert_total_class(_integer_bundle().ring.unit(), True), ValueError, "through"),
     "virtual_total through": (lambda: _integer_bundle().virtual_total(True), ValueError, "through"),
+    "tensor_component degree": (
+        lambda: tensor_component(kunneth_product(_mod2_bundle().ring, _mod2_bundle().ring)[0].unit(), True, 0),
+        PresentationError,
+        "degree",
+    ),
     "element times scalar": (lambda: _integer_bundle().total_positive * True, TypeError, "'bool'"),
     "scalar times element": (lambda: False * _integer_bundle().total_positive, TypeError, "'bool'"),
 }
