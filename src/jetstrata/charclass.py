@@ -14,20 +14,17 @@ from enum import Enum
 
 from .gring import (
     CoefficientMode,
-    ConsistencyError,
     GradedElement,
     ManifoldRing,
     ModeMismatch,
     NotAUnit,
-    Record,
     RingMismatch,
     element_from_spec,
     element_to_spec,
     invert_total_class,
-    is_integer,
     read_field,
 )
-from .symbols import JetContext
+from .symbols import ConsistencyError, JetContext, Record, is_integer
 
 
 class CharClassError(ValueError):
@@ -195,15 +192,18 @@ MAX_MATRIX_SIZE = 23
 def _porteous(bundle: VirtualBundle, i: int, center: int, size: int, formula: str) -> ObstructionClass:
     """Determinant of the size-square matrix whose (s, t) entry is the class
     of index center+s-t, homogeneous of size times the degree of ``center``.
-    Only the 2*size-1 indices the matrix holds are read."""
+    Only the 2*size-1 indices the matrix holds are read.  A class of degree
+    above the ring's top dimension is zero, and its determinant is not
+    expanded."""
     if size < 0:
         raise NegativeSize(f"matrix size {formula} = {size} is negative")
     if size > MAX_MATRIX_SIZE:
         raise CharClassError(f"matrix size {size} exceeds the cap MAX_MATRIX_SIZE = {MAX_MATRIX_SIZE}")
     classes = _classes(bundle, range(center - size + 1, center + size))
     matrix = tuple(tuple(classes[center + s - t] for t in range(size)) for s in range(size))
-    value = det_graded(matrix, ring=bundle.ring)
-    return ObstructionClass(value, i, size * _class_degree(bundle, center), bundle.variant, matrix)
+    degree = size * _class_degree(bundle, center)
+    value = bundle.ring.zero() if degree > bundle.ring.top_dim else det_graded(matrix, ring=bundle.ring)
+    return ObstructionClass(value, i, degree, bundle.variant, matrix)
 
 
 def porteous_sw(i: int, ctx: JetContext, bundle: VirtualBundle) -> ObstructionClass:

@@ -14,31 +14,38 @@ import argparse
 import gc
 import json
 import sys
+from itertools import repeat
 from json.encoder import encode_basestring
 
-from . import charclass, criteria, filtration, gring, symbols
+from . import symbols
+
+# Only ``symbols`` is imported here, for the argument types; each handler
+# imports the library modules it runs, so a command compiles no other.  The
+# annotations that name those modules are never evaluated.
 
 
 def _load_json(path: str):
+    from .gring import PresentationError
+
     def unique_keys(pairs):
         document = dict(pairs)
         if len(document) < len(pairs):
             seen = set()
             for key, _ in pairs:
                 if key in seen:
-                    raise gring.PresentationError(f"{path}: repeated key {key!r} in one JSON object")
+                    raise PresentationError(f"{path}: repeated key {key!r} in one JSON object")
                 seen.add(key)
         return document
 
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle, object_pairs_hook=unique_keys)
-        except gring.PresentationError:
+        except PresentationError:
             raise
         except ValueError as error:  # not JSON, not UTF-8, or an integer literal too long to read
-            raise gring.PresentationError(f"{path}: {error}") from None
+            raise PresentationError(f"{path}: {error}") from None
         except RecursionError:
-            raise gring.PresentationError(
+            raise PresentationError(
                 f"{path}: JSON nests deeper than the parser's limit of about "
                 f"{sys.getrecursionlimit()} levels"
             ) from None
@@ -46,6 +53,8 @@ def _load_json(path: str):
 
 def _load_bundle(args) -> tuple[charclass.VirtualBundle, dict]:
     """The bundle of ``--ring`` and ``--bundle``, and their echo: the ring itself and the bundle's document."""
+    from . import charclass, gring
+
     bundle = charclass.bundle_from_spec(gring.make_ring(_load_json(args.ring)), _load_json(args.bundle))
     return bundle, {"ring": bundle.ring, "bundle": charclass.bundle_to_spec(bundle)}
 
@@ -64,8 +73,11 @@ def _emit(report: dict, out_path: str | None) -> None:
     """Write ``json.dumps(report, indent=2, sort_keys=True,
     ensure_ascii=False)`` and a newline, in one write; a ring is written as
     its document ``ring.serialize()``."""
+    # A report can hold a ring only once the ring engine is loaded; before
+    # that, the empty tuple is a ring type no value is an instance of.
+    gring = sys.modules.get(f"{__package__}.gring")
     pieces: list[str] = []
-    _encode(report, 0, ["\n"], pieces)
+    _encode(report, 0, ["\n"], pieces, gring.ManifoldRing if gring else ())
     pieces.append("\n")
     text = "".join(pieces)
     if out_path:
@@ -75,24 +87,24 @@ def _emit(report: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _holds_ring(value) -> bool:
-    """Whether a ring sits anywhere in ``value``."""
-    if isinstance(value, gring.ManifoldRing):
+def _holds_ring(value, ring_type) -> bool:
+    """Whether an instance of ``ring_type`` sits anywhere in ``value``."""
+    if isinstance(value, ring_type):
         return True
     if isinstance(value, dict):
-        return any(map(_holds_ring, value.values()))
-    return isinstance(value, list) and any(map(_holds_ring, value))
+        return any(map(_holds_ring, value.values(), repeat(ring_type)))
+    return isinstance(value, list) and any(map(_holds_ring, value, repeat(ring_type)))
 
 
-def _encode(value, depth: int, leads: list[str], pieces: list[str]) -> None:
+def _encode(value, depth: int, leads: list[str], pieces: list[str], ring_type) -> None:
     """Append the indent=2 text of ``value`` at ``depth`` to ``pieces``, its
     first line continuing the current one.  ``leads[d]`` is a newline and the
-    indentation of depth d.  A ring is written from its table, a container
-    that holds one item by item, and any other value as the encoder's own
-    indent=2 text."""
-    if isinstance(value, gring.ManifoldRing):
+    indentation of depth d.  A ring (an instance of ``ring_type``) is written
+    from its table, a container that holds one item by item, and any other
+    value as the encoder's own indent=2 text."""
+    if isinstance(value, ring_type):
         pieces.append(_ring_text(value, depth, leads))
-    elif isinstance(value, (dict, list)) and _holds_ring(value):
+    elif isinstance(value, (dict, list)) and _holds_ring(value, ring_type):
         if len(leads) <= depth + 1:
             leads.append(leads[-1] + "  ")
         if isinstance(value, dict):
@@ -102,7 +114,7 @@ def _encode(value, depth: int, leads: list[str], pieces: list[str]) -> None:
         pieces.append(brackets[0])
         for n, (key, item) in enumerate(items):
             pieces.append(f"{',' if n else ''}{leads[depth + 1]}{key}")
-            _encode(item, depth + 1, leads, pieces)
+            _encode(item, depth + 1, leads, pieces, ring_type)
         pieces.append(leads[depth] + brackets[1])
     else:
         # The encoder escapes every newline inside a string, so each raw one
@@ -159,6 +171,8 @@ def _criterion_dict(report: criteria.CriterionReport) -> dict:
 def _obstruction_dict(obstruction: charclass.ObstructionClass | None) -> dict | None:
     if obstruction is None:
         return None
+    from . import gring
+
     return {
         "variant": obstruction.variant.value,
         "stratumIndex": obstruction.stratum_index,
@@ -208,6 +222,8 @@ def _run_codim(args) -> dict:
 
 
 def _run_porteous(args) -> dict:
+    from . import charclass, gring
+
     bundle, inputs = _load_bundle(args)
     ctx = symbols.JetContext(args.n, args.p, symbols.parse_order(args.k))
     if args.variant == "sw":
@@ -232,6 +248,8 @@ def _run_porteous(args) -> dict:
 
 
 def _run_wtable(args) -> dict:
+    from . import charclass
+
     bundle, inputs = _load_bundle(args)
     obstruction = charclass.w_table_polynomial(args.p, bundle)
     inputs["p"] = args.p
@@ -246,6 +264,8 @@ def _run_wtable(args) -> dict:
 
 
 def _run_criteria(args) -> dict:
+    from . import criteria
+
     k = symbols.parse_order(args.k)
     inputs = {"kind": args.kind, "n": args.n, "p": args.p, "i": args.i, "k": _jet_order_value(k)}
     if args.kind == "nonstable":
@@ -262,6 +282,8 @@ def _run_criteria(args) -> dict:
 
 
 def _run_verdict(args) -> dict:
+    from . import criteria
+
     bundle, inputs = _load_bundle(args)
     k = symbols.parse_order(args.k)
     dims = (bundle.ring.top_dim, args.target_dim)
@@ -282,6 +304,8 @@ def _run_verdict(args) -> dict:
 
 
 def _run_filtration(args) -> dict:
+    from . import charclass, filtration, gring
+
     if args.action == "next-index":
         value = filtration.next_index(args.l)
         return _report(
@@ -422,7 +446,7 @@ def main(argv=None) -> int:
             return _run_selfcheck()
         # Emitting fails on an unwritable --out or an integer too long to print.
         _emit(args.handler(args), args.out)
-    except gring.ConsistencyError as error:
+    except symbols.ConsistencyError as error:
         sys.stderr.write(f"internal inconsistency: {error}\n")
         return 1
     except (ValueError, OSError) as error:
@@ -438,7 +462,13 @@ def entry() -> None:
     # the parsed document and the product table as they grow.  main() leaves
     # the collector alone, so callers that run it in-process keep theirs.
     gc.disable()
-    sys.exit(main())
+    status = main()
+    # Interpreter exit still runs one full collection, collector off or not;
+    # frozen objects are left out of it.  Finalization itself (atexit
+    # handlers, the stdio flush, module teardown) runs as before, and the
+    # cycles left behind hold no file to close.
+    gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ from .charclass import (
     w_table_polynomial,
     W_TABLE_DIMENSIONS,
 )
-from .gring import CoefficientMode, ConsistencyError, ModeMismatch, Record, is_integer
-from .symbols import JetContext, is_finite_order
+from .gring import CoefficientMode, ModeMismatch
+from .symbols import ConsistencyError, JetContext, Record, is_finite_order, is_integer
 
 ESTABLISHED = "Established"
 NOT_ESTABLISHED = "NotEstablished"

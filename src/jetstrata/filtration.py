@@ -18,17 +18,14 @@ from bisect import bisect_left
 from .charclass import ObstructionClass, VirtualBundle, porteous_pontrjagin
 from .gring import (
     CoefficientMode,
-    ConsistencyError,
     GradedElement,
     ManifoldRing,
     ModeMismatch,
-    Record,
     RingMap,
     RingMismatch,
-    is_integer,
     kunneth_product,
 )
-from .symbols import JetContext
+from .symbols import ConsistencyError, JetContext, Record, is_integer
 
 
 class FiltrationError(ValueError):

@@ -22,6 +22,8 @@ from functools import cache, partial
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from .symbols import is_integer
+
 
 class CoefficientMode(Enum):
     INTEGER_MOD_TORSION = "integer_mod_torsion"
@@ -69,49 +71,6 @@ class ModeMismatch(GringError):
 
 class NotAUnit(GringError):
     pass
-
-
-class ConsistencyError(RuntimeError):
-    """An identity the toolkit itself guarantees failed; indicates a bug."""
-
-
-def is_integer(value) -> bool:
-    """True for an int that is not a bool: JSON ``true`` is not the number 1."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-class Record:
-    """Base of the immutable records.  A record lists its fields in
-    ``__slots__`` and sets them in ``__init__`` with ``self._fill(locals())``;
-    assigning a field afterwards raises AttributeError.  Records of one type
-    compare, hash and print by their fields, those in ``_hidden`` left out."""
-
-    __slots__ = ()
-    _hidden: tuple[str, ...] = ()
-
-    def _fill(self, values: dict) -> None:
-        for name in self.__slots__:
-            object.__setattr__(self, name, values[name])
-
-    def _shown(self) -> tuple:
-        return tuple((name, getattr(self, name)) for name in self.__slots__ if name not in self._hidden)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._shown() == other._shown()
-
-    def __hash__(self):
-        return hash(self._shown())
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(f'{name}={value!r}' for name, value in self._shown())})"
 
 
 _LABEL_COEFF = itemgetter("label", "coeff")

@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import itertools
 
-from . import charclass, criteria, filtration, gring
+from . import charclass, criteria, filtration, gring, symbols
 
 
-class CheckResult(gring.Record):
+class CheckResult(symbols.Record):
     __slots__ = ("name", "passed", "detail")
 
     def __init__(self, name: str, passed: bool, detail: str = ""):
@@ -154,7 +154,7 @@ def run_selfcheck() -> list[CheckResult]:
     for name, check in ALL_CHECKS:
         try:
             detail = check()
-        except (ValueError, gring.ConsistencyError) as error:
+        except (ValueError, symbols.ConsistencyError) as error:
             detail = f"{type(error).__name__}: {error}"
         results.append(CheckResult(name, detail is None, detail or ""))
     return results

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from jetstrata import charclass
 from jetstrata.charclass import (
     MAX_MATRIX_SIZE,
     CharClassError,
@@ -230,6 +231,29 @@ def test_porteous_pontrjagin_parity_and_mode(four_ring):
     mod2 = zero_bundle(truncated_polynomial_ring("mod2", 4, [("w", 1)]))
     with pytest.raises(ModeMismatch):
         porteous_pontrjagin(2, JetContext(4, 4, 9), mod2)
+
+
+def test_a_class_zero_by_degree_takes_no_determinant(monkeypatch):
+    # Degree size * deg(center) above top_dim: the class is zero, and its
+    # full matrix is still built, as the report prints it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("det_graded called")
+
+    monkeypatch.setattr(charclass, "det_graded", refuse)
+    mod2 = truncated_polynomial_ring("mod2", 6, [("w", 1)])
+    sw_bundle = VirtualBundle(mod2.element({label: 1 for label in mod2.labels}), mod2.unit())
+    integer = truncated_polynomial_ring("integer_mod_torsion", 8, [("t", 4)])
+    p_bundle = VirtualBundle(integer.element({"1": 1, "t": 2, "t^2": 3}), integer.unit())
+    for obstruction, bundle, center, degree in (
+        (porteous_sw(3, JetContext(4, 4), sw_bundle), sw_bundle, 3, 9),  # 3 x 3, degree 9 > 6
+        (porteous_pontrjagin(4, JetContext(4, 4), p_bundle), p_bundle, 2, 16),  # 2 x 2, degree 16 > 8
+    ):
+        size = len(obstruction.matrix)
+        assert obstruction.is_zero and obstruction.expected_degree == degree
+        assert obstruction.matrix == tuple(
+            tuple(class_of_virtual(bundle, center + s - t) for t in range(size)) for s in range(size)
+        )
+        assert any(entry and entry != bundle.ring.unit() for row in obstruction.matrix for entry in row)
 
 
 def test_porteous_pontrjagin_zero_bundle(four_ring):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from jetstrata import charclass, cli, filtration, gring
+from jetstrata import charclass, cli, filtration, gring, symbols
 from jetstrata.selfcheck import check_determinant_oracle, check_ring_fixture
 
 from conftest import FOUR_MANIFOLD_SPEC
@@ -806,7 +806,7 @@ def test_selfcheck_failure_exits_1(capsys, monkeypatch):
     "module, name, error, failing",
     [
         (gring, "invert_total_class", gring.NotAUnit, "total-class-inverse-involution"),
-        (filtration, "next_index", gring.ConsistencyError, "stage-index-recursion"),
+        (filtration, "next_index", symbols.ConsistencyError, "stage-index-recursion"),
     ],
 )
 def test_selfcheck_reports_a_raising_check_as_a_failure(capsys, monkeypatch, module, name, error, failing):

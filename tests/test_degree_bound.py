@@ -7,7 +7,7 @@ classes must ask for exactly the degree they read.
 
 import time
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from jetstrata import charclass
 from jetstrata.charclass import VirtualBundle, porteous_pontrjagin, porteous_sw, w_table_polynomial
@@ -165,3 +165,18 @@ def test_dual_jacobi_trudi_identity(data):
     left = charclass._porteous(VirtualBundle(total, ring.unit()), 0, k, r, "r").value
     right = charclass._porteous(VirtualBundle(ring.unit(), total), 0, r, k, "k").value
     assert left == (-right if r * k % 2 else right)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_class_zero_by_degree_equals_its_determinant(data):
+    # The short cut that returns zero above top_dim, against the determinant
+    # of the same matrix computed directly.
+    ring = data.draw(rings())
+    total = data.draw(totals(ring))
+    size, center = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    bundle = VirtualBundle(total, ring.unit()) if data.draw(st.booleans()) else VirtualBundle(ring.unit(), total)
+    obstruction = charclass._porteous(bundle, 0, center, size, "r")
+    assume(obstruction.expected_degree > ring.top_dim)
+    assert obstruction.is_zero
+    assert obstruction.value == charclass.det_graded(obstruction.matrix, ring=ring)

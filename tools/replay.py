@@ -4,10 +4,13 @@
 
 SRC is a ``src`` directory holding the ``jetstrata`` package.  The inputs of
 the three workloads of ``bench/gen.py`` are built at seeds 1 and 7 and written
-to a temporary directory; each command then runs in this process through
-``jetstrata.cli.main`` from SRC.  One line per command: seed, workload,
-index, exit status, and the sha256 of its stdout and of its stderr.  Two
-sources give the same reports when their outputs are the same text, so
+to a temporary directory; each command then runs as the benchmark runs it,
+in a fresh ``python -m jetstrata.cli`` process with ``PYTHONPATH=SRC``, so
+the modules a command imports, ``cli.entry`` and the interpreter's exit are
+replayed too; the child writes UTF-8 whatever the locale.  One line per
+command: seed, workload, index, exit status, and the sha256 of its stdout
+and of its stderr.  Two sources give the same reports when their outputs are the same
+bytes, so
 
     python3 tools/replay.py OLD/src > old.txt
     python3 tools/replay.py src > new.txt
@@ -18,10 +21,10 @@ checks a change for byte identity.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -29,18 +32,18 @@ from pathlib import Path
 SEEDS = (1, 7)
 
 
-def digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not (Path(argv[0]) / "jetstrata" / "cli.py").is_file():
         print("usage: python3 tools/replay.py SRC", file=sys.stderr)
         return 2
-    sys.path[:0] = [str(Path(argv[0]).resolve()), str(Path(__file__).resolve().parent.parent / "bench")]
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
     import gen
-    from jetstrata import cli
 
+    env = {**os.environ, "PYTHONPATH": str(Path(argv[0]).resolve()), "PYTHONIOENCODING": "utf-8"}
     for seed in SEEDS:
         for name, build in sorted(gen.WORKLOADS.items()):
             workload = build(seed)
@@ -50,10 +53,8 @@ def main(argv: list[str]) -> int:
                     (inputs / file_name).write_text(json.dumps(document), encoding="utf-8")
                 for index, command in enumerate(workload.commands):
                     args = [str(inputs / a[1:]) if a.startswith("@") else a for a in command.argv]
-                    out, err = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                        status = cli.main(args)
-                    print(seed, name, index, status, digest(out.getvalue()), digest(err.getvalue()))
+                    done = subprocess.run([sys.executable, "-m", "jetstrata.cli", *args], env=env, capture_output=True)
+                    print(seed, name, index, done.returncode, digest(done.stdout), digest(done.stderr))
     return 0
 
 
