@@ -168,7 +168,7 @@ class ManifoldRing:
                 raise PresentationError(f"basis label must be a nonempty string, got {label!r}")
             if label in position:
                 raise PresentationError(f"duplicate basis label {label!r}")
-            if not is_integer(degree) or degree < 0:
+            if type(degree) is not int and not is_integer(degree) or degree < 0:
                 raise PresentationError(f"basis degree must be a nonnegative integer, got {degree!r}")
             if degree > top_dim:
                 raise DegreeOverflowEntry(
@@ -536,9 +536,13 @@ class RingMap:
         self._verify_multiplicative()
 
     def _verify_multiplicative(self) -> None:
-        source, images = self.source, self.images
-        for a, b in _bounded_pairs(source.degrees, source.unit_position, self.target.top_dim):
-            if self(GradedElement(source, dict(source.basis_product(a, b)))) != images[a] * images[b]:
+        source, target, images = self.source, self.target, self.images
+        for a, b in _bounded_pairs(source.degrees, source.unit_position, target.top_dim):
+            acc: dict[int, int] = {}  # f(ab), summed over the terms of ab
+            for t, c in source.basis_product(a, b):
+                for p, v in images[t].coeffs.items():
+                    acc[p] = acc.get(p, 0) + c * v
+            if GradedElement(target, acc).coeffs != (images[a] * images[b]).coeffs:
                 a, b = source.labels[a], source.labels[b]
                 raise PresentationError(f"map is not multiplicative on pair ({a!r}, {b!r})")
 
@@ -555,26 +559,26 @@ class TensorRing(ManifoldRing):
     """H*(P_0) ⊗ ... ⊗ H*(P_d), the Künneth ring of P_0 × ... × P_d
     (torsion-free or mod-2 coefficients, where the graded sign is 1).
 
-    ``basis`` lists (degree, factor positions) per position, one factor
-    position per ring in ``factors``, kept as ``factor_positions``: its label
-    joins the factor labels with ``⊗`` and its degree adds theirs.  Products
-    are computed factor by factor, so no product table is stored.
+    ``basis`` lists (degree, key, label, factor positions) per position, one
+    factor position per ring in ``factors``, kept as ``factor_positions``: its
+    degree adds the factor degrees, its label joins the factor labels with
+    ``⊗`` and its key is their mixed-radix number, the first factor most
+    significant.  Products are computed factor by factor, so no product table
+    is stored.
     """
 
     __slots__ = ("factors", "factor_positions", "_strides", "_steps", "_position_of")
 
-    def __init__(self, factors: Sequence[ManifoldRing], basis: Sequence[tuple[int, tuple[int, ...]]]):
+    def __init__(self, factors: Sequence[ManifoldRing], basis: Sequence[tuple[int, int, str, tuple[int, ...]]]):
         self.factors = tuple(factors)
-        self.factor_positions: tuple[tuple[int, ...], ...] = tuple(t for _, t in basis)
-        # A tuple's key is its mixed-radix number, the first factor most
-        # significant; _position_of[key] is the position of the tuple.
+        self.factor_positions: tuple[tuple[int, ...], ...] = tuple(t for *_, t in basis)
         sizes = [len(f.labels) for f in self.factors]
         self._strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
         self._steps = tuple(zip([f.basis_product for f in self.factors], self._strides))
-        self._position_of = [0] * math.prod(sizes)
-        for p, t in enumerate(self.factor_positions):
-            self._position_of[sum(a * stride for a, stride in zip(t, self._strides))] = p
-        labels = [TENSOR_SEPARATOR.join(f.labels[a] for f, a in zip(self.factors, t)) for t in self.factor_positions]
+        self._position_of = [0] * math.prod(sizes)  # _position_of[key] is the position of the tuple
+        for p, (_, key, _, _) in enumerate(basis):
+            self._position_of[key] = p
+        labels = [label for _, _, label, _ in basis]
         if len(set(labels)) < len(labels):  # the joins are distinct unless a factor label holds the glue
             seen: set[str] = set()
             repeated = next(label for label in labels if label in seen or seen.add(label))
@@ -587,7 +591,7 @@ class TensorRing(ManifoldRing):
         super().__init__(
             self.factors[0].mode,
             sum(f.top_dim for f in self.factors),
-            list(zip(labels, (d for d, _ in basis))),
+            [(label, d) for d, _, label, _ in basis],
             fundamental=labels[self.position_of(f.fundamental_position for f in self.factors)],
             orientable=all(f.orientable for f in self.factors),
             verify=False,
@@ -638,8 +642,9 @@ def kunneth_product(*factors: ManifoldRing) -> tuple:
     The basis is the first factor in its own order, then for each further
     factor the (previous tuple, new position) pairs stably sorted by total
     degree and then by the previous degree, as iterated binary products
-    would list it.  Injection k sends ``a`` to the tensor with ``a`` in
-    factor k and the unit in every other factor.
+    would list it: the rows of each previous degree, in order, each with the
+    new positions of each degree, in order.  Injection k sends ``a`` to the
+    tensor with ``a`` in factor k and the unit in every other factor.
     """
     if not factors:
         raise PresentationError("a tensor product needs at least one factor")
@@ -648,10 +653,18 @@ def kunneth_product(*factors: ManifoldRing) -> tuple:
     size = math.prod(len(f.degrees) for f in factors)
     if size > MAX_PRODUCT_BASIS:
         raise PresentationError(f"tensor product basis of {size} labels exceeds the cap MAX_PRODUCT_BASIS = {MAX_PRODUCT_BASIS}")
-    basis = [(d, (a,)) for a, d in enumerate(factors[0].degrees)]  # (degree, factor positions)
+    basis = [(d, a, label, (a,)) for a, (label, d) in enumerate(zip(factors[0].labels, factors[0].degrees))]
     for factor in factors[1:]:
-        pairs = sorted(itertools.product(basis, enumerate(factor.degrees)), key=lambda p: (p[0][0] + p[1][1], p[0][0]))
-        basis = [(d + e, t + (c,)) for (d, t), (c, e) in pairs]
+        n, labels, new_by_degree = len(factor.labels), factor.labels, factor.positions_by_degree
+        by_degree: dict[int, list] = {}
+        for row in basis:
+            by_degree.setdefault(row[0], []).append(row)
+        basis = [
+            (d + e, key * n + c, label + TENSOR_SEPARATOR + labels[c], t + (c,))
+            for d, e in sorted(itertools.product(by_degree, new_by_degree), key=lambda de: (sum(de), de[0]))
+            for _, key, label, t in by_degree[d]
+            for c in new_by_degree[e]
+        ]
     ring = TensorRing(factors, basis)
     units = [f.unit_position for f in factors]
     return ring, *(

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from jetstrata import charclass
 from jetstrata.charclass import VirtualBundle, porteous_pontrjagin, porteous_sw, w_table_polynomial
 from jetstrata.filtration import build_run, product_obstruction
-from jetstrata.gring import GradedElement, invert_total_class, truncated_polynomial_ring
+from jetstrata.gring import CoefficientMode, GradedElement, invert_total_class, truncated_polynomial_ring
 from jetstrata.symbols import INFINITE_ORDER, JetContext
 
 
@@ -158,10 +158,15 @@ def test_dual_jacobi_trudi_identity(data):
     # centred at r have determinants equal up to the sign (-1)^(rk)
     # (Macdonald, Symmetric Functions and Hall Polynomials, Ch. I §3): an
     # oracle for det_graded at sizes the Leibniz sum cannot reach, through
-    # the inverse total and the degree bound of the classes it reads.
+    # the inverse total and the degree bound of the classes it reads.  Both
+    # classes sit in degree r*k*u, u = 1 mod 2 and 4 integrally; r and k keep
+    # it at most top_dim, so neither is zero by degree and both determinants
+    # are expanded.
     ring = data.draw(rings())
     total = data.draw(totals(ring))
-    r, k = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 10))
+    reach = ring.top_dim // (1 if ring.mode is CoefficientMode.MOD2 else 4)
+    r = data.draw(st.integers(1, reach))
+    k = data.draw(st.integers(1, reach // r))
     left = charclass._porteous(VirtualBundle(total, ring.unit()), 0, k, r, "r").value
     right = charclass._porteous(VirtualBundle(ring.unit(), total), 0, r, k, "k").value
     assert left == (-right if r * k % 2 else right)

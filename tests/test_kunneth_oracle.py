@@ -33,6 +33,7 @@ from jetstrata.gring import (
 
 from conftest import four_manifold_ring
 from test_check_oracles import SHAPES, _scale, twisted_rings
+from test_filtration import depth3_bundles
 
 
 def materialized_kunneth(left: ManifoldRing, right: ManifoldRing) -> ManifoldRing:
@@ -88,6 +89,11 @@ def mod2_cube_ring():
     # v*v is given with coefficient 3, which reads as 1 mod 2.
     basis = [("1", 0), ("v", 1), ("w", 2), ("vw", 3)]
     return ManifoldRing("mod2", 3, basis, {("v", "v"): {"w": 3}, ("v", "w"): {"vw": 1}}, "vw")
+
+
+def unsorted_ring():
+    # The basis lists x2 before x and the unit last, against the degrees.
+    return ManifoldRing("integer_mod_torsion", 4, [("x2", 4), ("x", 2), ("1", 0)], {("x", "x"): {"x2": 1}}, "x2")
 
 
 def four_by_four():
@@ -236,9 +242,7 @@ def test_tensor_products_have_multiple_terms():
 def test_one_factor_product_keeps_an_unsorted_basis():
     # The basis lists x2 before x and the unit last: a one-factor product
     # keeps that order, and serializes to the ring's own document.
-    ring = ManifoldRing(
-        "integer_mod_torsion", 4, [("x2", 4), ("x", 2), ("1", 0)], {("x", "x"): {"x2": 1}}, "x2"
-    )
+    ring = unsorted_ring()
     product, inject = kunneth_product(ring)
     assert product.labels == ring.labels and product.degrees == ring.degrees
     assert product.serialize() == ring.serialize()
@@ -250,15 +254,59 @@ def test_two_factor_product_sorts_ties_by_the_first_factor_degree():
     # The first factor lists x2 before x and the unit last, so its positions
     # run against its degrees: pairs of equal total degree are ordered by the
     # first factor's degree, not by its position.
-    first = ManifoldRing(
-        "integer_mod_torsion", 4, [("x2", 4), ("x", 2), ("1", 0)], {("x", "x"): {"x2": 1}}, "x2"
-    )
+    first = unsorted_ring()
     product, _, _ = kunneth_product(first, four_manifold_ring())
     oracle = materialized_kunneth(first, four_manifold_ring())
     pairs = ["1 1", "1 x", "x 1", "1 x2", "x x", "x2 1", "x x2", "x2 x", "x2 x2"]
     assert product.labels == oracle.labels == tuple(p.replace(" ", TENSOR_SEPARATOR) for p in pairs)
     for i, j in itertools.product(range(len(product.labels)), repeat=2):
         assert product.basis_product(i, j) == oracle.basis_product(i, j)
+
+
+def stated_order(factors) -> list[tuple[int, ...]]:
+    """The basis order the README states, as factor position tuples: the
+    first factor in its own order, then for each further factor the
+    (previous tuple, new position) pairs stably sorted by total degree, then
+    by the previous degree."""
+
+    def degree(t):
+        return sum(f.degrees[a] for f, a in zip(factors, t))
+
+    tuples = [(a,) for a in range(len(factors[0].labels))]
+    for factor in factors[1:]:
+        pairs = sorted(
+            itertools.product(tuples, range(len(factor.labels))),
+            key=lambda p: (degree(p[0]) + factor.degrees[p[1]], degree(p[0])),
+        )
+        tuples = [t + (c,) for t, c in pairs]
+    return tuples
+
+
+def two_generators_of_one_degree():
+    return truncated_polynomial_ring("integer_mod_torsion", 8, [("a", 2), ("b", 2)], fundamental="a^4")
+
+
+# Products of one to four factors whose basis rows kunneth_product carries.
+CARRIED = {
+    "one-factor-unsorted": lambda: (unsorted_ring(),),
+    "several-labels-per-degree": lambda: (integer_two_term_ring(), two_generators_of_one_degree()),
+    "three-mod2-odd-degrees": three_mod2_odd_degrees,
+    "four-factors": lambda: (unsorted_ring(), integer_two_term_ring(), two_generators_of_one_degree(), four_manifold_ring()),
+    "depth3-stage-rings": lambda: tuple(bundle.ring for bundle in depth3_bundles()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CARRIED))
+def test_carried_rows_match_the_factors(name):
+    # Keys, labels and degrees are carried as the basis grows; each is
+    # recomputed here from the factors alone.
+    factors = CARRIED[name]()
+    ring, *_ = kunneth_product(*factors)
+    assert ring.factor_positions == tuple(stated_order(factors))
+    for p, t in enumerate(ring.factor_positions):
+        assert ring.position_of(t) == p
+        assert ring.labels[p] == TENSOR_SEPARATOR.join(f.labels[a] for f, a in zip(factors, t))
+        assert ring.degrees[p] == sum(f.degrees[a] for f, a in zip(factors, t))
 
 
 # The top dimensions a drawn factor may have, and the most all factors may
