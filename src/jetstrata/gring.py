@@ -19,7 +19,6 @@ import math
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import cache, partial
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .symbols import is_integer
@@ -73,7 +72,6 @@ class NotAUnit(GringError):
     pass
 
 
-_LABEL_COEFF = itemgetter("label", "coeff")
 _REQUIRED = object()
 _KIND_NAMES = {dict: "a JSON object", list: "a list", str: "a non-empty string", bool: "true or false"}
 
@@ -125,10 +123,10 @@ class ManifoldRing:
 
     ``basis`` is a sequence of (label, degree) pairs; degree 0 must contain
     exactly one label, the multiplicative unit.  ``products`` maps unordered
-    pairs of non-unit labels to {label: coefficient}, or to a list of
-    {"label": ..., "coeff": ...} terms with distinct labels, as a ring
-    document lists them; omitted products are zero.  ``fundamental`` must be a top-degree label (inferred when the top
-    degree carries a single label).
+    pairs of non-unit labels to {label: coefficient}, or is the list of
+    product entries of a ring document; omitted products are zero.
+    ``fundamental`` must be a top-degree label (inferred when the top degree
+    carries a single label).
 
     Inside, a basis element is its position in ``basis``: structure constants,
     element coefficients and map images are keyed by position.  ``labels`` and
@@ -144,7 +142,7 @@ class ManifoldRing:
         mode: CoefficientMode | str,
         top_dim: int,
         basis: Sequence[tuple[str, int]],
-        products: Mapping[tuple[str, str], Mapping[str, int]] | None = None,
+        products: Mapping[tuple[str, str], Mapping[str, int]] | list[dict] | None = None,
         fundamental: str | None = None,
         *,
         orientable: bool = True,
@@ -219,49 +217,62 @@ class ManifoldRing:
             return coefficient % 2
         return coefficient
 
-    def _install_products(self, products: Mapping) -> None:
-        """Store each product a*b of ``products`` (see the class docstring),
-        its terms checked in one pass: a known label, an integer coefficient
-        and, when nonzero, the degree of a*b.  A plain int is accepted by its
-        type alone and reduced inline, so its check calls no Python function."""
+    def _install_products(self, products: Mapping | list) -> None:
+        """Store each product a*b of ``products``, a mapping or a document's
+        entry list (see the class docstring), each entry read, checked and
+        stored in one step: its labels; each term's label, integer coefficient
+        and, when nonzero, degree, which keeps it at most the top; the unit;
+        a repeated pair.  A plain int passes by its type alone, and a one-term
+        result is stored without a dict or a sort.  A document entry of the
+        wrong shape fails here too, and ``make_ring`` names its fault."""
         position, degrees = self.position, self.degrees
         unit, table = self.unit_position, self._table
         mod2 = self.mode is CoefficientMode.MOD2
-        for (a, b), result in products.items():
+        document = not isinstance(products, Mapping)
+        unstored = []  # zero and unit products, in the table until every repeat is seen
+        for entry in products if document else products.items():
+            if document:
+                a, b, result = entry["a"], entry["b"], entry.get("result", [])
+                if type(result) is not list:
+                    raise PresentationError(f"product {a!r}*{b!r} lists no terms")
+            else:
+                (a, b), result = entry
             i, j = position.get(a), position.get(b)
             if i is None or j is None:
                 raise PresentationError(f"product entry names unknown label {a if i is None else b!r}")
-            target_degree = degrees[i] + degrees[j]
-            cleaned: dict[int, int] = {}
-            for label, coefficient in map(_LABEL_COEFF, result) if isinstance(result, list) else result.items():
+            degree, terms = degrees[i] + degrees[j], ()
+            for term in result if document else result.items():
+                label, coefficient = (term["label"], term["coeff"]) if document else term
                 t = position.get(label)
                 if t is None:
                     raise PresentationError(f"product {a!r}*{b!r} targets unknown label {label!r}")
                 if type(coefficient) is not int and not is_integer(coefficient):
                     raise PresentationError(f"coefficient of {label!r} in {a!r}*{b!r} must be an integer")
-                if value := coefficient % 2 if mod2 else coefficient:
-                    if degrees[t] != target_degree:
-                        raise PresentationError(
-                            f"product {a!r}*{b!r} (degree {target_degree}) targets {label!r} "
-                            f"of degree {degrees[t]}"
-                        )
-                    cleaned[t] = value
-            if cleaned and target_degree > self.top_dim:
-                raise DegreeOverflowEntry(
-                    f"product {a!r}*{b!r} targets degree {target_degree} above top dimension {self.top_dim}"
-                )
-            if i == unit or j == unit:
-                if cleaned != {j if i == unit else i: 1}:
-                    raise BadUnit(f"product with the unit must reproduce the other factor: {a!r}*{b!r}")
-                continue  # implied, not stored
+                if (value := coefficient % 2 if mod2 else coefficient) and degrees[t] != degree:
+                    raise PresentationError(
+                        f"product {a!r}*{b!r} (degree {degree}) targets {label!r} of degree {degrees[t]}"
+                    )
+                terms += ((t, value),)
+            if len(terms) == 1:
+                packed = terms if terms[0][1] else ()
+            elif len(cleaned := dict(terms)) < len(terms):
+                raise PresentationError(f"product {a!r}*{b!r} names a target twice")
+            else:
+                packed = tuple(sorted(term for term in cleaned.items() if term[1]))
             key = (i, j) if i <= j else (j, i)
-            packed = tuple(sorted(cleaned.items()) if len(cleaned) > 1 else cleaned.items())
+            if i == unit or j == unit:
+                if packed != ((j if i == unit else i, 1),):
+                    raise BadUnit(f"product with the unit must reproduce the other factor: {a!r}*{b!r}")
+                unstored.append(key)
+            elif not packed:
+                unstored.append(key)
             stored = table.get(key)
-            if stored is not None and stored != packed:
+            if stored is not None and (document or stored != packed):
                 pair = (self.labels[key[0]], self.labels[key[1]])
                 raise PresentationError(f"conflicting product entries for pair {pair!r}")
-            if packed:
-                table[key] = packed
+            table[key] = packed
+        for key in unstored:
+            table.pop(key, None)
 
     def basis_product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """Structure constants of the basis pair at positions ``i`` and ``j``
@@ -748,9 +759,10 @@ def element_to_spec(c: GradedElement) -> list[dict]:
 def make_ring(spec: dict) -> ManifoldRing:
     """Build and validate a ring from its presentation document.
 
-    Only the document's shape is read here, every entry in order; labels,
-    degrees, coefficients, the unit and the fundamental class are checked by
-    ``ManifoldRing``, which is handed each product's own list of terms.
+    The fields and the basis entries are read here, and ``ManifoldRing``
+    reads, checks and stores each product entry in one pass.  Only when that
+    fails are the product entries walked for their first shape fault, which
+    is named ahead of the ring's own error.
     """
     name = "ring presentation"
     mode = read_field(spec, "mode", object, name)
@@ -763,31 +775,32 @@ def make_ring(spec: dict) -> ManifoldRing:
         (read_field(e, "label", object, "basis entry"), read_field(e, "degree", object, "basis entry"))
         for e in basis_entries
     ]
-    # Each entry and term is tested inline; read_field names the first fault.
-    products: dict[tuple[str, str], list[dict]] = {}
-    for entry in product_entries:
-        if not (
-            isinstance(entry, dict)
-            and isinstance(a := entry.get("a"), str) and a
-            and isinstance(b := entry.get("b"), str) and b
-            and isinstance(terms := entry.get("result", []), list)
-        ):
-            a = read_field(entry, "a", str, "product entry")
-            b = read_field(entry, "b", str, "product entry")
-            terms = read_field(entry, "result", list, "product entry", [])
-        seen = set()
+    try:
+        return ManifoldRing(mode, top_dim, basis, product_entries, fundamental, orientable=orientable)
+    except (GringError, LookupError, TypeError):  # an entry of the wrong shape fails by a lookup or type error
+        _raise_shape_fault(product_entries)
+        raise
+
+
+def _raise_shape_fault(entries: list) -> None:
+    """Raise the first shape fault of a document's product entries, in entry
+    and term order: a missing field, a value of the wrong kind, or a repeated
+    result label or product pair.  Return when there is none."""
+    pairs = set()
+    for entry in entries:
+        a = read_field(entry, "a", str, "product entry")
+        b = read_field(entry, "b", str, "product entry")
+        terms = read_field(entry, "result", list, "product entry", [])
+        labels, term_name = set(), f"result entry of product {a!r}*{b!r}"
         for term in terms:
-            if not (isinstance(term, dict) and isinstance(label := term.get("label"), str) and label and "coeff" in term):
-                term_name = f"result entry of product {a!r}*{b!r}"
-                label = read_field(term, "label", str, term_name)
-                read_field(term, "coeff", object, term_name)
-            if label in seen:
+            label = read_field(term, "label", str, term_name)
+            read_field(term, "coeff", object, term_name)
+            if label in labels:
                 raise PresentationError(f"duplicate target {label!r} in product {a!r}*{b!r}")
-            seen.add(label)
-        if (a, b) in products or (b, a) in products:
+            labels.add(label)
+        if (a, b) in pairs or (b, a) in pairs:
             raise PresentationError(f"duplicate product entry for pair {(a, b)!r}")
-        products[a, b] = terms
-    return ManifoldRing(mode, top_dim, basis, products, fundamental, orientable=orientable)
+        pairs.add((a, b))
 
 
 def truncated_polynomial_ring(

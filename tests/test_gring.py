@@ -2,6 +2,7 @@ import copy
 import itertools
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -748,6 +749,128 @@ def test_the_first_fault_of_a_document_is_named(name):
     with pytest.raises(PresentationError) as raised:
         make_ring(document)
     assert (type(raised.value), str(raised.value)) == (error, message)
+
+
+# Documents with one shape fault that construction alone does not meet as an
+# unknown label or a bad coefficient: the one-pass install must fail on it,
+# so that the fault is named at all.  (edits, message), as above.
+LONE_SHAPE_FAULTS = {
+    "pair repeated with the same result": (
+        [("products.2", {"a": "x", "b": "x", "result": [_term("z", 1)]})],
+        "duplicate product entry for pair ('x', 'x')"),
+    "zero pair repeated, swapped": (
+        [("products.2", {"a": "y", "b": "x", "result": [_term("z", 0)]})],
+        "duplicate product entry for pair ('y', 'x')"),
+    "zero pair repeated with a nonzero result": (
+        [("products.2", {"a": "y", "b": "x", "result": [_term("z", 5)]})],
+        "duplicate product entry for pair ('y', 'x')"),
+    "unit pair repeated": (
+        [("products.1", {"a": "1", "b": "x", "result": [_term("x", 1)]}),
+         ("products.2", {"a": "x", "b": "1", "result": [_term("x", 1)]})],
+        "duplicate product entry for pair ('x', '1')"),
+    "target repeated with the same coefficient": (
+        [("products.0.result", [_term("z", 1), _term("z", 1)])], "duplicate target 'z' in product 'x'*'x'"),
+    "zero target repeated": (
+        [("products.1.result", [_term("z", 0), _term("z", 0)])], "duplicate target 'z' in product 'x'*'y'"),
+    "result an empty object": ([("products.1.result", {})], "product entry: field 'result' must be a list"),
+    "result an empty string": ([("products.1.result", "")], "product entry: field 'result' must be a list"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONE_SHAPE_FAULTS))
+def test_a_lone_shape_fault_is_named(name):
+    edits, message = LONE_SHAPE_FAULTS[name]
+    document = copy.deepcopy(_XYZ_DOCUMENT)
+    for path, value in edits:
+        *parents, last = path.split(".")
+        node = document
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        node[int(last) if isinstance(node, list) else last] = value
+    with pytest.raises(PresentationError) as raised:
+        make_ring(document)
+    assert (type(raised.value), str(raised.value)) == (PresentationError, message)
+
+
+@st.composite
+def polynomial_documents(draw):
+    """A truncated polynomial presentation written out from monomial
+    exponents, and the product table it presents: {(i, j), i <= j: ((t, 1),)}
+    by basis position.  The basis is shuffled, the product entries are too,
+    each with its factors swapped at random; some non-unit labels get an
+    explicit unit product, and any entry may carry zero-coefficient terms on
+    any label, or list a pair whose product lies above the top."""
+    mode = draw(st.sampled_from(["mod2", "integer_mod_torsion"]), label="mode")
+    u = 1 if mode == "mod2" else 2
+    count = draw(st.integers(1, 3), label="generators")
+    degrees = [u * d for d in draw(st.lists(st.integers(1, 2), min_size=count, max_size=count), label="degrees")]
+    power = draw(st.integers(2, 6 // (degrees[0] // u)), label="power")
+    rng = random.Random(draw(st.integers(0, 2**32), label="shuffle seed"))
+    top = power * degrees[0]
+
+    def degree(e):
+        return sum(x * d for x, d in zip(e, degrees))
+
+    def label(e):
+        return "*".join(f"g{n}^{x}" for n, x in enumerate(e) if x) or "1"
+
+    exponents = [e for e in itertools.product(*(range(top // d + 1) for d in degrees)) if degree(e) <= top]
+    rng.shuffle(exponents)
+    position = {e: p for p, e in enumerate(exponents)}
+    labels = [label(e) for e in exponents]
+    nonunit = [e for e in exponents if any(e)]
+
+    def result(target):
+        terms = [] if target is None else [{"label": label(target), "coeff": rng.choice([1, 3, -1] if u == 1 else [1])}]
+        terms += [{"label": l, "coeff": rng.choice([0, 2, -2] if u == 1 else [0])}
+                  for l in rng.sample(labels, min(len(labels), rng.choice([0, 0, 1, 2])))
+                  if target is None or l != label(target)]
+        rng.shuffle(terms)
+        return terms
+
+    entries, table = [], {}
+    for e, f in itertools.combinations_with_replacement(nonunit, 2):
+        product = tuple(x + y for x, y in zip(e, f))
+        if degree(product) <= top:
+            entries.append((e, f, result(product)))
+            i, j = sorted((position[e], position[f]))
+            table[i, j] = ((position[product], 1),)
+        elif rng.random() < 0.3:
+            entries.append((e, f, result(None)))
+    unit = (0,) * len(degrees)
+    entries += [(unit, e, result(e)) for e in nonunit if rng.random() < 0.3]
+    rng.shuffle(entries)
+    products = []
+    for e, f, terms in entries:
+        a, b = (label(f), label(e)) if rng.random() < 0.5 else (label(e), label(f))
+        products.append({"a": a, "b": b, "result": terms} if terms or rng.random() < 0.5 else {"a": a, "b": b})
+    document = {
+        "mode": mode, "topDim": top, "fundamental": label((power,) + unit[1:]),
+        "basis": [{"label": l, "degree": degree(e)} for l, e in zip(labels, exponents)], "products": products,
+    }
+    return document, table
+
+
+@settings(max_examples=200)
+@given(case=polynomial_documents())
+def test_a_valid_document_is_stored_as_presented_in_one_pass(case):
+    document, table = case
+    with mock.patch.object(gring, "_raise_shape_fault", side_effect=AssertionError("the fault walk was entered")):
+        ring = make_ring(document)
+    assert ring.labels == tuple(entry["label"] for entry in document["basis"])
+    assert ring._table == table
+
+
+def test_the_fault_walk_is_never_entered_for_a_valid_document(monkeypatch):
+    def walk(entries):
+        raise AssertionError("the fault walk was entered")
+
+    monkeypatch.setattr(gring, "_raise_shape_fault", walk)
+    for document in [FOUR_MANIFOLD_SPEC, _XYZ_DOCUMENT, *(ring.serialize() for ring in uvw_rings())]:
+        make_ring(document)
+    # A document that fails construction is walked.
+    with pytest.raises(AssertionError, match="the fault walk was entered"):
+        make_ring(dict(_XYZ_DOCUMENT, fundamental="x"))
 
 
 def test_element_spec_round_trip(four_ring):

@@ -11,7 +11,11 @@ replayed too; the child writes UTF-8 whatever the locale.  One line per
 command: seed, workload, index, exit status, and the sha256 of its stdout
 and of its stderr.  A last line replays one ``filtration run`` of depth 3 on
 a 31,977-label Künneth product, the largest the tests build, from the static
-document ``DEPTH3_RUN`` below; its seed reads ``static``.  Two sources give
+document ``DEPTH3_RUN`` below; its seed reads ``static``.  Then one
+``porteous`` runs on each ring document of ``REFUSED_RINGS``, all but the
+first refused, so that every refusal keeps its exit status and stderr
+bytes; those lines read seed ``static`` and the name ``ring:`` and the
+document's name.  Two sources give
 the same reports when their outputs are the same bytes, so
 
     python3 tools/replay.py OLD/src > old.txt
@@ -241,6 +245,158 @@ DEPTH3_RUN = """\
 """
 
 
+# Refused ring documents, each the edits (dotted path, new value) of the ring
+# RING below; the path "" is the whole document and the value DELETE drops
+# the field or item.  Each runs as one ``porteous`` on BUNDLE, whose line
+# pins the refusal's exit status and stderr.  The single-fault documents
+# reach every refusal that ``make_ring`` and ``ManifoldRing`` can raise from
+# a document; the multi-fault ones are those of
+# tests/test_gring.py::MULTI_FAULT_DOCUMENTS, whose first fault is named.
+RING = {
+    "mode": "integer_mod_torsion", "topDim": 4, "fundamental": "z",
+    "basis": [{"label": "1", "degree": 0}, {"label": "x", "degree": 2}, {"label": "y", "degree": 2},
+              {"label": "z", "degree": 4}],
+    "products": [{"a": "x", "b": "x", "result": [{"label": "z", "coeff": 1}]},
+                 {"a": "x", "b": "y", "result": [{"label": "z", "coeff": 0}]},
+                 {"a": "y", "b": "y", "result": [{"label": "z", "coeff": -1}]}],
+}
+BUNDLE = '{"totalPositive": [{"label": "1", "coeff": 1}], "totalNegativePulled": [{"label": "1", "coeff": 1}]}'
+PORTEOUS = ["porteous", "--variant", "pontrjagin", "--ring", "@ring.json", "--bundle", "@bundle.json",
+            "--i", "2", "--n", "6", "--p", "4"]
+DELETE = object()
+
+
+def _term(label, coeff):
+    return {"label": label, "coeff": coeff}
+
+
+# a, b, c of degree 2, t of degree 6: (a*a)*b = t but (a*b)*a = 0.
+_NON_ASSOCIATIVE = {
+    "mode": "integer_mod_torsion", "topDim": 6, "fundamental": "t",
+    "basis": [{"label": "1", "degree": 0}, {"label": "a", "degree": 2}, {"label": "b", "degree": 2},
+              {"label": "c", "degree": 4}, {"label": "t", "degree": 6}],
+    "products": [{"a": "a", "b": "a", "result": [_term("c", 1)]}, {"a": "b", "b": "c", "result": [_term("t", 1)]}],
+}
+# 182 labels of degree 1 under top 3 make 1,021,384 bounded triples, past
+# MAX_ASSOC_TRIPLES = 1,000,000.
+_PAST_THE_TRIPLE_CAP = {
+    "mode": "mod2", "topDim": 3, "fundamental": "t",
+    "basis": [{"label": "1", "degree": 0}, *({"label": f"e{k}", "degree": 1} for k in range(182)),
+              {"label": "t", "degree": 3}],
+}
+
+REFUSED_RINGS = {
+    # Document shape.
+    "document not an object": [("", [])],
+    "missing mode": [("mode", DELETE)],
+    "missing topDim": [("topDim", DELETE)],
+    "missing basis": [("basis", DELETE)],
+    "missing fundamental": [("fundamental", DELETE)],
+    "basis not a list": [("basis", {})],
+    "products not a list": [("products", "x*x")],
+    "orientable not a bool": [("orientable", "yes")],
+    "basis entry not an object": [("basis.1", "x")],
+    "basis entry without label": [("basis.1.label", DELETE)],
+    "basis entry without degree": [("basis.1.degree", DELETE)],
+    "product entry not an object": [("products.1", ["x", "y"])],
+    "product entry without a": [("products.1.a", DELETE)],
+    "product entry without b": [("products.1.b", DELETE)],
+    "empty factor label": [("products.1.a", "")],
+    "factor label not a string": [("products.1.b", 2)],
+    "result not a list": [("products.1.result", {"z": 1})],
+    "empty result object": [("products.1.result", {})],
+    "empty result string": [("products.1.result", "")],
+    "result entry not an object": [("products.1.result.0", ["z", 1])],
+    "result entry without label": [("products.1.result.0.label", DELETE)],
+    "result label not a string": [("products.1.result.0.label", None)],
+    "result entry without coeff": [("products.1.result.0.coeff", DELETE)],
+    "duplicate target": [("products.0.result", [_term("z", 1), _term("z", 1)])],
+    "duplicate zero target": [("products.1.result", [_term("z", 0), _term("z", 0)])],
+    "duplicate pair": [("products.2", {"a": "x", "b": "x", "result": [_term("z", 1)]})],
+    "duplicate swapped pair": [("products.2", {"a": "y", "b": "x", "result": [_term("z", 0)]})],
+    "duplicate unit pair": [("products.1", {"a": "1", "b": "x", "result": [_term("x", 1)]}),
+                            ("products.2", {"a": "x", "b": "1", "result": [_term("x", 1)]})],
+    # Basis.
+    "unknown mode": [("mode", "integer")],
+    "negative topDim": [("topDim", -1)],
+    "topDim a bool": [("topDim", True)],
+    "empty basis": [("basis", []), ("products", [])],
+    "empty basis label": [("basis.1.label", "")],
+    "basis label not a string": [("basis.1.label", 2)],
+    "duplicate basis label": [("basis.2.label", "x")],
+    "negative degree": [("basis.1.degree", -2)],
+    "degree a float": [("basis.1.degree", 2.0)],
+    "degree above top": [("basis.3.degree", 6)],
+    "odd degree in integer mode": [("basis.1.degree", 1)],
+    "no unit": [("basis.0.degree", 2)],
+    "two units": [("basis.2.degree", 0)],
+    "no unique top label": [("fundamental", None), ("basis.2.degree", 4)],
+    "fundamental below the top": [("fundamental", "x")],
+    "fundamental unknown": [("fundamental", "q")],
+    "fundamental not a string": [("fundamental", 4)],
+    # Products.
+    "unknown factor": [("products.1.a", "w")],
+    "unknown target": [("products.1.result.0.label", "w")],
+    "coefficient a string": [("products.1.result.0.coeff", "1")],
+    "coefficient a bool": [("products.1.result.0.coeff", True)],
+    "coefficient a float": [("products.1.result.0.coeff", 1.0)],
+    "target of the wrong degree": [("products.0.result.0.label", "y")],
+    "unit product not the factor": [("products.1", {"a": "1", "b": "x", "result": [_term("x", 2)]})],
+    "unit product zero": [("products.1", {"a": "x", "b": "1"})],
+    "not associative": [("", _NON_ASSOCIATIVE)],
+    "past the triple cap": [("", _PAST_THE_TRIPLE_CAP)],
+    # tests/test_gring.py::MULTI_FAULT_DOCUMENTS.
+    "late shape fault, early unknown factor": [("products.0.a", "w"), ("products.2.b", "")],
+    "late shape fault, early unknown target": [("products.0.result.0.label", "w"), ("products.2.result", {})],
+    "late missing coeff, early degree mismatch": [
+        ("products.0.result", [_term("x", 1)]), ("products.1.result", [{"label": "z"}])],
+    "late term not an object, early bad coefficient": [
+        ("products.0.result.0.coeff", True), ("products.2.result", [["z", 1]])],
+    "late duplicate pair, early bad coefficient": [
+        ("products.0.result.0.coeff", "1"), ("products.2", {"a": "y", "b": "x", "result": []})],
+    "late duplicate target, early unknown factor": [
+        ("products.0.b", "q"), ("products.2.result", [_term("z", 1), _term("z", 2)])],
+    "duplicate target before a missing coeff": [
+        ("products.1.result", [_term("z", 1), _term("z", 2), {"label": "z"}])],
+    "missing coeff before a duplicate target": [
+        ("products.1.result", [{"label": "z"}, _term("z", 1), _term("z", 2)])],
+    "empty label before a duplicate target": [
+        ("products.1.result", [_term("", 1), _term("z", 1), _term("z", 2)])],
+    "entry not an object after an unknown target": [("products.0.result.0.label", "w"), ("products.2", "x*y")],
+    "product shape fault, basis duplicate label": [("basis.2.label", "x"), ("products.2.a", 7)],
+    "product shape fault, unknown mode": [("mode", "integer"), ("products.1.result.0", None)],
+    "basis shape fault, product shape fault": [("basis.1", {"label": "x"}), ("products.0.b", None)],
+    "basis duplicate label, unknown target": [("basis.2.label", "x"), ("products.0.result.0.label", "w")],
+    "bad fundamental, product degree mismatch": [("fundamental", "x"), ("products.0.result.0.label", "y")],
+    "two product faults in entry order": [("products.0.result.0.label", "y"), ("products.1.a", "w")],
+    "duplicate pair before a bad unit product": [
+        ("products.1", {"a": "x", "b": "x", "result": [_term("z", 2)]}),
+        ("products.2", {"a": "1", "b": "x", "result": [_term("y", 1)]})],
+    "bad unit product before a degree mismatch": [
+        ("products.0", {"a": "1", "b": "x", "result": [_term("y", 1)]}), ("products.2.result.0.label", "x")],
+    "no result field, then an unknown factor": [("products.0", {"a": "x", "b": "x"}), ("products.2.a", "q")],
+}
+
+
+def edited(document, edits):
+    """A copy of ``document`` with each edit of REFUSED_RINGS applied in turn."""
+    document = json.loads(json.dumps(document))
+    for path, value in edits:
+        if not path:
+            document = value
+            continue
+        *parents, last = path.split(".")
+        node = document
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        key = int(last) if isinstance(node, list) else last
+        if value is DELETE:
+            del node[key]
+        else:
+            node[key] = value
+    return document
+
+
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -259,6 +415,9 @@ def main(argv: list[str]) -> int:
             files = {file_name: json.dumps(document) for file_name, document in workload.files.items()}
             replay(env, seed, name, files, [command.argv for command in workload.commands])
     replay(env, "static", "filtration-depth3", {"run.json": DEPTH3_RUN}, [["filtration", "run", "--spec", "@run.json"]])
+    for name, edits in [("accepted", []), *REFUSED_RINGS.items()]:
+        files = {"ring.json": json.dumps(edited(RING, edits)), "bundle.json": BUNDLE}
+        replay(env, "static", "ring:" + name.replace(" ", "-"), files, [PORTEOUS])
     return 0
 
 
