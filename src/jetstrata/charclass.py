@@ -134,7 +134,7 @@ class ObstructionClass(Record):
                 f"obstruction class is not homogeneous of degree {expected_degree}: "
                 f"components in degrees {value.support_degrees()}"
             )
-        self._fill(locals())
+        super().__init__(value, stratum_index, expected_degree, variant, matrix)
 
     @property
     def is_zero(self) -> bool:

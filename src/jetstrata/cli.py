@@ -77,7 +77,11 @@ def _emit(report: dict, out_path: str | None) -> None:
     # that, the empty tuple is a ring type no value is an instance of.
     gring = sys.modules.get(f"{__package__}.gring")
     pieces: list[str] = []
-    _encode(report, 0, ["\n"], pieces, gring.ManifoldRing if gring else ())
+    try:
+        _encode(report, 0, ["\n"], pieces, gring.ManifoldRing if gring else ())
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"report integer has more than {limit} digits, the limit for printing an integer") from None
     pieces.append("\n")
     text = "".join(pieces)
     if out_path:

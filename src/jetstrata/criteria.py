@@ -35,9 +35,6 @@ class CriterionReport(Record):
 
     __slots__ = ("verdict", "lhs", "rhs", "k_required", "shift_used", "notes")
 
-    def __init__(self, verdict: str, lhs: int, rhs: int, k_required: int, shift_used: int, notes: str = ""):
-        self._fill(locals())
-
     @property
     def established(self) -> bool:
         return self.verdict == ESTABLISHED
@@ -140,12 +137,6 @@ class NonexistenceReport(Record):
     singularities all have orbit codimension within the budget?"""
 
     __slots__ = ("verdict", "route", "criterion", "obstruction", "notes")
-
-    def __init__(
-        self, verdict: str, route: str, criterion: CriterionReport, obstruction: ObstructionClass | None,
-        notes: tuple[str, ...],
-    ):
-        self._fill(locals())
 
 
 def _table_fits(ell: int, dims: tuple[int, int]) -> bool:

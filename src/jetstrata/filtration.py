@@ -19,7 +19,6 @@ from .charclass import ObstructionClass, VirtualBundle, porteous_pontrjagin
 from .gring import (
     CoefficientMode,
     GradedElement,
-    ManifoldRing,
     ModeMismatch,
     RingMap,
     RingMismatch,
@@ -87,21 +86,9 @@ class FiltrationStage(Record):
 
     __slots__ = ("t", "kernel_rank", "budget", "dim", "ring", "bundle", "obstruction")
 
-    def __init__(
-        self, t: int, kernel_rank: int, budget: int, dim: int, ring: ManifoldRing, bundle: VirtualBundle,
-        obstruction: ObstructionClass,
-    ):
-        self._fill(locals())
-
 
 class FiltrationRun(Record):
     __slots__ = ("depth", "schedule", "stages", "product_ring", "injections")
-
-    def __init__(
-        self, depth: int, schedule: tuple[int, ...], stages: tuple[FiltrationStage, ...],
-        product_ring: ManifoldRing, injections: tuple[RingMap, ...],
-    ):
-        self._fill(locals())
 
 
 def build_run(depth: int, schedule, stage_bundles) -> FiltrationRun:
@@ -199,12 +186,6 @@ class DoubleConstruction(Record):
     one-factor difference bundle it mirrors."""
 
     __slots__ = ("product_ring", "bundle", "inject_left", "inject_right", "factor_bundle")
-
-    def __init__(
-        self, product_ring: ManifoldRing, bundle: VirtualBundle, inject_left: RingMap, inject_right: RingMap,
-        factor_bundle: VirtualBundle,
-    ):
-        self._fill(locals())
 
 
 def double_construction(

@@ -14,7 +14,7 @@ class CheckResult(symbols.Record):
     __slots__ = ("name", "passed", "detail")
 
     def __init__(self, name: str, passed: bool, detail: str = ""):
-        self._fill(locals())
+        super().__init__(name, passed, detail)
 
 
 CANONICAL_SURFACE_SPEC = {

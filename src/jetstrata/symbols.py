@@ -26,16 +26,19 @@ def is_integer(value) -> bool:
 
 class Record:
     """Base of the immutable records.  A record lists its fields in
-    ``__slots__`` and sets them in ``__init__`` with ``self._fill(locals())``;
-    assigning a field afterwards raises AttributeError.  Records of one type
-    compare, hash and print by their fields, those in ``_hidden`` left out."""
+    ``__slots__`` and is built from their values in slot order; only a record
+    that validates or defaults a field has its own ``__init__``.  Assigning a
+    field afterwards raises AttributeError.  Records of one type compare, hash
+    and print by their fields, those in ``_hidden`` left out."""
 
     __slots__ = ()
     _hidden: tuple[str, ...] = ()
 
-    def _fill(self, values: dict) -> None:
-        for name in self.__slots__:
-            object.__setattr__(self, name, values[name])
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} field values, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _shown(self) -> tuple:
         return tuple((name, getattr(self, name)) for name in self.__slots__ if name not in self._hidden)
@@ -151,7 +154,7 @@ class JetContext(Record):
         if is_finite_order(k):
             if not is_integer(k) or k < 1:
                 raise SymbolError(f"jet order must be a positive integer or inf, got {k!r}")
-        self._fill(locals())
+        super().__init__(n, p, k)
 
 
 class BoardmanSymbol(Record):
@@ -169,7 +172,7 @@ class BoardmanSymbol(Record):
         for a, b in zip(entries, entries[1:]):
             if a < b:
                 raise NotMonotone(f"symbol entries increase: {a} < {b} in {entries}")
-        self._fill(locals())
+        super().__init__(entries)
 
     def __len__(self) -> int:
         return len(self.entries)

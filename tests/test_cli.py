@@ -17,6 +17,7 @@ from jetstrata.selfcheck import check_determinant_oracle, check_ring_fixture
 from conftest import FOUR_MANIFOLD_SPEC
 
 DATA = Path(__file__).parent / "data"
+DEPTH2_RUN = json.loads((DATA / "filtration_depth2_run.json").read_text(encoding="utf-8"))
 
 
 def run_cli(capsys, *argv):
@@ -316,7 +317,7 @@ def test_out_flag_writes_only_the_report_file(capsys, tmp_path, monkeypatch):
         # lhs = i^2(i-1)/2 has about 4,500 digits, past the int-to-str limit
         # json.dumps meets when it prints the report.
         (["criteria", "w", "--n", "5", "--p", "5", "--i", str(10**1500), "--k", "inf"],
-         "Exceeds the limit"),
+         "report integer has more than"),
         # jetFiberDim would have more than 4,300 digits; refused before printing.
         (["codim", "--symbol", "1", "--n", "10000", "--p", "10000", "--k", "10000"], "digits"),
     ],
@@ -328,6 +329,35 @@ def test_emit_failures_exit_2_with_one_line(capsys, argv, named):
     assert err.endswith("\n") and err.count("\n") == 1
     assert named in err
     assert "Traceback" not in err
+
+
+def test_report_integer_past_the_printing_limit_is_named(capsys, tmp_path):
+    # The bundle's coefficient 2^13000 + 1 reads in (3,914 digits); the class
+    # it gives has more digits than the interpreter prints.
+    ring = {
+        "mode": "integer_mod_torsion",
+        "topDim": 8,
+        "basis": [{"label": "1", "degree": 0}, {"label": "x", "degree": 4}, {"label": "x2", "degree": 8}],
+        "products": [{"a": "x", "b": "x", "result": [{"label": "x2", "coeff": 1}]}],
+        "fundamental": "x2",
+    }
+    bundle = {
+        "totalPositive": [{"label": "1", "coeff": 1}, {"label": "x", "coeff": 2**13000 + 1}],
+        "totalNegativePulled": [{"label": "1", "coeff": 1}],
+    }
+    write_json(tmp_path / "ring.json", ring)
+    write_json(tmp_path / "bundle.json", bundle)
+    argv = [
+        "porteous", "--variant", "pontrjagin", "--ring", str(tmp_path / "ring.json"),
+        "--bundle", str(tmp_path / "bundle.json"), "--i", "2", "--n", "6", "--p", "8",
+    ]
+    message = (
+        f"ValueError: report integer has more than {sys.get_int_max_str_digits()} digits, "
+        "the limit for printing an integer\n"
+    )
+    assert run_cli(capsys, *argv) == (2, "", message)
+    assert run_cli(capsys, *argv, "--out", str(tmp_path / "report.json")) == (2, "", message)
+    assert not (tmp_path / "report.json").exists()
 
 
 # Each integer option of each command, with valid values for the rest.
@@ -643,13 +673,17 @@ def _replaced(document, path, value):
         ("run", ["schedule", 0], True, "budgets"),
         ("run", ["schedule"], 5, "'schedule'"),
         ("run", ["stages"], None, "'stages'"),
+        ("four", ["bundle", "totalPositive", 1, "label"], "q", "PresentationError: unknown basis label 'q'"),
+        ("four", ["bundle", "totalPositive", 1, "label"], "1", "PresentationError: duplicate label '1' in element"),
+        ("run", ["d"], 0, "FiltrationError: expected 1 stage bundles for depth 0, got 2"),
+        ("run", ["stages"], DEPTH2_RUN["stages"][:1], "FiltrationError: expected 2 stage bundles for depth 1, got 1"),
+        ("run", ["stages", 0, "ring", "mode"], "mod2", "ModeMismatch: stage 0 ring must use integer coefficients"),
     ],
 )
 def test_ill_typed_json_value_exits_2_naming_it(capsys, tmp_path, base, path, value, named):
     if base == "run":
         # A valid depth-1 run document: the first two stages of the depth-2 one.
-        depth2 = json.loads((DATA / "filtration_depth2_run.json").read_text(encoding="utf-8"))
-        document = {"d": 1, "schedule": depth2["schedule"][:3], "stages": depth2["stages"][:2]}
+        document = {"d": 1, "schedule": DEPTH2_RUN["schedule"][:3], "stages": DEPTH2_RUN["stages"][:2]}
         write_json(tmp_path / "run.json", _replaced(document, path, value))
         argv = ["filtration", "run", "--spec", str(tmp_path / "run.json")]
     else:

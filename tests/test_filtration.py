@@ -20,7 +20,9 @@ from jetstrata.filtration import (
 )
 from jetstrata.gring import (
     ManifoldRing,
+    ModeMismatch,
     RingMap,
+    RingMismatch,
     kunneth_product,
     tensor_component,
     truncated_polynomial_ring,
@@ -331,6 +333,21 @@ def test_double_construction_dimension_check():
         double_construction(left.unit(), right.unit(), pull, inverse)
 
 
+def test_double_construction_refuses_a_mod2_factor_and_maps_the_wrong_way():
+    left = free_even_ring(8, "a")
+    right = free_even_ring(8, "b")
+    iso = ring_map_from_generators(right, left, {"b4": left.basis_element("a4"), "b8": left.basis_element("a8")})
+    iso_back = ring_map_from_generators(left, right, {"a4": right.basis_element("b4"), "a8": right.basis_element("b8")})
+    mod2 = truncated_polynomial_ring("mod2", 8, [("c", 4)])
+    for tangents in ((mod2.unit(), right.unit()), (left.unit(), mod2.unit())):
+        with pytest.raises(ModeMismatch, match="^both factors must use integer coefficients$"):
+            double_construction(*tangents, iso, iso_back)
+    with pytest.raises(RingMismatch, match="^pullback must map the right ring into the left ring$"):
+        double_construction(left.unit(), right.unit(), iso_back, iso_back)
+    with pytest.raises(RingMismatch, match="^inverse pullback must map the left ring into the right ring$"):
+        double_construction(left.unit(), right.unit(), iso, iso)
+
+
 def test_obstruction_splits_off_factor_term():
     # the full stratum class on the product is the factor class tensor 1 plus
     # terms with positive second degree
@@ -384,3 +401,30 @@ def test_records_are_immutable_and_compare_by_field():
     o = stage.obstruction
     assert ObstructionClass(o.value, o.stratum_index, o.expected_degree, o.variant) == o
     assert ObstructionClass(ring.zero(), o.stratum_index, o.expected_degree, o.variant) != o
+    # A record is built from its field values in slot order.  JetContext,
+    # ObstructionClass and CheckResult default their last field; the five
+    # records without a constructor of their own take no keywords.
+    defaulted = (JetContext, ObstructionClass, selfcheck.CheckResult)
+    for record, _ in records:
+        kind, values = type(record), [getattr(record, name) for name in record.__slots__]
+        assert kind(*values) == record
+        required = len(values) - isinstance(record, defaulted)
+        with pytest.raises(TypeError):
+            kind(*values[:required - 1])
+        with pytest.raises(TypeError):
+            kind(*values, None)
+        if not isinstance(record, defaulted + (BoardmanSymbol,)):
+            with pytest.raises(TypeError):
+                kind(**dict(zip(record.__slots__, values)))
+    with pytest.raises(TypeError, match="^CriterionReport takes 6 field values, got 5$"):
+        criteria.CriterionReport("Established", 9, 5, 6, 0)
+    # repr lists the shown fields in slot order.
+    assert repr(JetContext(3, 4, 5)) == "JetContext(n=3, p=4, k=5)"
+    assert repr(selfcheck.CheckResult("check", True)) == "CheckResult(name='check', passed=True, detail='')"
+    assert repr(criterion) == (
+        "CriterionReport(verdict='Established', lhs=9, rhs=5, k_required=6, shift_used=0, notes='')"
+    )
+    assert repr(o) == (
+        f"ObstructionClass(value={o.value!r}, stratum_index={o.stratum_index!r}, "
+        f"expected_degree={o.expected_degree!r}, variant={o.variant!r})"
+    )

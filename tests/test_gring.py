@@ -923,3 +923,24 @@ def test_truncated_polynomial_ring_rejects_a_bool_degree():
     for degree in (True, 1.0, "1"):
         with pytest.raises(PresentationError, match="generator degree"):
             truncated_polynomial_ring("mod2", 2, [("a", degree)])
+
+
+def test_truncated_polynomial_ring_rejects_bad_and_repeated_generator_names():
+    # A name that could be read as the unit or as a monomial label is refused.
+    for name in ("a^2", "1", "", "a*b"):
+        with pytest.raises(PresentationError) as raised:
+            truncated_polynomial_ring("mod2", 2, [(name, 1)])
+        assert str(raised.value) == f"bad generator name {name!r}"
+    with pytest.raises(PresentationError, match="^duplicate generator name 'a'$"):
+        truncated_polynomial_ring("mod2", 2, [("a", 1), ("a", 2)])
+
+
+def test_ring_refuses_an_empty_basis():
+    with pytest.raises(PresentationError, match="^basis must be nonempty$"):
+        ManifoldRing("mod2", 0, [])
+
+
+def test_map_refuses_an_element_outside_its_source(four_ring):
+    identity = RingMap(four_ring, four_ring, [four_ring.basis_element(label) for label in four_ring.labels])
+    with pytest.raises(RingMismatch, match="^element does not belong to the map's source ring$"):
+        identity(four_manifold_ring().basis_element("x"))
