@@ -10,6 +10,7 @@ negative indices are zero).
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 
 from .gring import (
@@ -198,7 +199,11 @@ def _porteous(bundle: VirtualBundle, i: int, center: int, size: int, formula: st
     if size < 0:
         raise NegativeSize(f"matrix size {formula} = {size} is negative")
     if size > MAX_MATRIX_SIZE:
-        raise CharClassError(f"matrix size {size} exceeds the cap MAX_MATRIX_SIZE = {MAX_MATRIX_SIZE}")
+        try:
+            shown = str(size)
+        except ValueError:
+            shown = f"of more than {sys.get_int_max_str_digits()} digits"
+        raise CharClassError(f"matrix size {shown} exceeds the cap MAX_MATRIX_SIZE = {MAX_MATRIX_SIZE}")
     classes = _classes(bundle, range(center - size + 1, center + size))
     matrix = tuple(tuple(classes[center + s - t] for t in range(size)) for s in range(size))
     degree = size * _class_degree(bundle, center)

@@ -13,6 +13,7 @@ stage's own difference bundle, every other factor cancelling.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 
 from .charclass import ObstructionClass, VirtualBundle, porteous_pontrjagin
@@ -102,9 +103,11 @@ def build_run(depth: int, schedule, stage_bundles) -> FiltrationRun:
         raise FiltrationError(f"depth must be a nonnegative integer, got {depth!r}")
     schedule = tuple(schedule)
     if len(schedule) < depth + 2:
-        raise ScheduleNotIncreasing(
-            f"schedule must list budgets l_0..l_{depth + 1}, got {len(schedule)} entries"
-        )
+        try:
+            budgets = f"l_0..l_{depth + 1}"
+        except ValueError:
+            budgets = f"l_0..l_(d+1) for a depth d of more than {sys.get_int_max_str_digits()} digits"
+        raise ScheduleNotIncreasing(f"schedule must list budgets {budgets}, got {len(schedule)} entries")
     for value in schedule:
         if not is_integer(value) or value < 0:
             raise ScheduleNotIncreasing(f"budgets must be nonnegative integers, got {value!r}")

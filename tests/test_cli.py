@@ -308,6 +308,10 @@ def test_out_flag_writes_only_the_report_file(capsys, tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
 
+# The most digits an integer option or JSON number reads in with.
+NINES = "9" * 4300
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -320,15 +324,30 @@ def test_out_flag_writes_only_the_report_file(capsys, tmp_path, monkeypatch):
          "report integer has more than"),
         # jetFiberDim would have more than 4,300 digits; refused before printing.
         (["codim", "--symbol", "1", "--n", "10000", "--p", "10000", "--k", "10000"], "digits"),
+        # The matrix size p - n + i has 4,301 digits: past the cap, and past
+        # the printing limit for its message.
+        (["porteous", "--variant", "sw", "--ring", "@ring.json", "--bundle", "@bundle.json",
+          "--i", NINES, "--n", "1", "--p", NINES],
+         "CharClassError: matrix size of more than 4300 digits exceeds the cap MAX_MATRIX_SIZE = 23"),
+        (["verdict", "--ring", "@ring.json", "--bundle", "@bundle.json",
+          "--i", NINES, "--l", "0", "--k", "inf", "--target-dim", NINES],
+         "CharClassError: matrix size of more than 4300 digits exceeds the cap MAX_MATRIX_SIZE = 23"),
+        # A schedule of no budgets for a depth d whose d + 1 has 4,301 digits.
+        (["filtration", "run", "--spec", "@run.json"],
+         "ScheduleNotIncreasing: schedule must list budgets l_0..l_(d+1) for a depth d of more than 4300 digits"),
     ],
 )
-def test_emit_failures_exit_2_with_one_line(capsys, argv, named):
-    status, out, err = run_cli(capsys, *argv)
+def test_emit_failures_exit_2_with_one_line(capsys, tmp_path, argv, named):
+    documents, _ = PORTEOUS_CASES["line"]
+    documents = {**documents, "run": {"d": int(NINES), "schedule": [], "stages": []}}
+    for name, document in documents.items():
+        write_json(tmp_path / f"{name}.json", document)
+    status, out, err = run_cli(capsys, *(str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv))
     assert status == 2
     assert out == ""
     assert err.endswith("\n") and err.count("\n") == 1
     assert named in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "set_int_max_str_digits" not in err
 
 
 def test_report_integer_past_the_printing_limit_is_named(capsys, tmp_path):

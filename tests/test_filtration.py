@@ -23,12 +23,15 @@ from jetstrata.gring import (
     ModeMismatch,
     RingMap,
     RingMismatch,
+    element_to_spec,
     kunneth_product,
+    make_ring,
     tensor_component,
     truncated_polynomial_ring,
 )
 from jetstrata.symbols import INFINITE_ORDER, BoardmanSymbol, JetContext
 
+import replay
 from conftest import ring_map_from_generators
 
 
@@ -193,6 +196,20 @@ def depth3_bundles():
 
 
 DEPTH3_SCHEDULE = [8, 19, 58, 318, 384]
+
+
+def test_the_replayed_depth3_run_is_the_one_built_here():
+    # tools/replay.py writes this run with the benchmark's ring generator.
+    document = replay.depth3_run()
+    assert (document["d"], document["schedule"]) == (3, DEPTH3_SCHEDULE)
+    bundles = depth3_bundles()
+    assert len(document["stages"]) == len(bundles)
+    for stage, bundle in zip(document["stages"], bundles):
+        assert make_ring(stage["ring"]).serialize() == bundle.ring.serialize()
+        assert stage["bundle"] == {
+            "totalPositive": element_to_spec(bundle.total_positive),
+            "totalNegativePulled": element_to_spec(bundle.total_negative_pulled),
+        }
 
 
 def test_depth3_run_on_31977_labels_is_quick():

@@ -1,4 +1,3 @@
-import copy
 import itertools
 import random
 import time
@@ -29,6 +28,7 @@ from jetstrata.gring import (
     truncated_polynomial_ring,
 )
 
+import replay
 from conftest import FOUR_MANIFOLD_SPEC, four_manifold_ring
 
 
@@ -652,143 +652,70 @@ def test_make_ring_reads_orientable_as_a_json_bool():
             make_ring(dict(FOUR_MANIFOLD_SPEC, orientable=value))
 
 
-_XYZ_DOCUMENT = {
-    "mode": "integer_mod_torsion",
-    "topDim": 4,
-    "basis": [{"label": "1", "degree": 0}, {"label": "x", "degree": 2}, {"label": "y", "degree": 2},
-              {"label": "z", "degree": 4}],
-    "products": [
-        {"a": "x", "b": "x", "result": [{"label": "z", "coeff": 1}]},
-        {"a": "x", "b": "y", "result": [{"label": "z", "coeff": 0}]},
-        {"a": "y", "b": "y", "result": [{"label": "z", "coeff": -1}]},
-    ],
-    "fundamental": "z",
-}
-
-
-def _term(label, coeff):
-    return {"label": label, "coeff": coeff}
-
-
-# Documents with two or three faults: (edits as (dotted path, new value),
-# error, message).  Every document-shape fault is named before any basis
+# Documents with two or three faults, by their name in replay.REFUSED_RINGS:
+# (error, message).  Every document-shape fault is named before any basis
 # fault, and those before any product fault; faults of one kind in entry
 # order, and within an entry in term order.
 MULTI_FAULT_DOCUMENTS = {
     "late shape fault, early unknown factor": (
-        [("products.0.a", "w"), ("products.2.b", "")],
         PresentationError, "product entry: field 'b' must be a non-empty string"),
-    "late shape fault, early unknown target": (
-        [("products.0.result.0.label", "w"), ("products.2.result", {})],
-        PresentationError, "product entry: field 'result' must be a list"),
+    "late shape fault, early unknown target": (PresentationError, "product entry: field 'result' must be a list"),
     "late missing coeff, early degree mismatch": (
-        [("products.0.result", [_term("x", 1)]), ("products.1.result", [{"label": "z"}])],
         PresentationError, "result entry of product 'x'*'y': missing field 'coeff'"),
     "late term not an object, early bad coefficient": (
-        [("products.0.result.0.coeff", True), ("products.2.result", [["z", 1]])],
         PresentationError, "result entry of product 'y'*'y': not a JSON object"),
-    "late duplicate pair, early bad coefficient": (
-        [("products.0.result.0.coeff", "1"), ("products.2", {"a": "y", "b": "x", "result": []})],
-        PresentationError, "duplicate product entry for pair ('y', 'x')"),
-    "late duplicate target, early unknown factor": (
-        [("products.0.b", "q"), ("products.2.result", [_term("z", 1), _term("z", 2)])],
-        PresentationError, "duplicate target 'z' in product 'y'*'y'"),
-    "duplicate target before a missing coeff": (
-        [("products.1.result", [_term("z", 1), _term("z", 2), {"label": "z"}])],
-        PresentationError, "duplicate target 'z' in product 'x'*'y'"),
+    "late duplicate pair, early bad coefficient": (PresentationError, "duplicate product entry for pair ('y', 'x')"),
+    "late duplicate target, early unknown factor": (PresentationError, "duplicate target 'z' in product 'y'*'y'"),
+    "duplicate target before a missing coeff": (PresentationError, "duplicate target 'z' in product 'x'*'y'"),
     "missing coeff before a duplicate target": (
-        [("products.1.result", [{"label": "z"}, _term("z", 1), _term("z", 2)])],
         PresentationError, "result entry of product 'x'*'y': missing field 'coeff'"),
     "empty label before a duplicate target": (
-        [("products.1.result", [_term("", 1), _term("z", 1), _term("z", 2)])],
         PresentationError, "result entry of product 'x'*'y': field 'label' must be a non-empty string"),
-    "entry not an object after an unknown target": (
-        [("products.0.result.0.label", "w"), ("products.2", "x*y")],
-        PresentationError, "product entry: not a JSON object"),
+    "entry not an object after an unknown target": (PresentationError, "product entry: not a JSON object"),
     "product shape fault, basis duplicate label": (
-        [("basis.2.label", "x"), ("products.2.a", 7)],
         PresentationError, "product entry: field 'a' must be a non-empty string"),
-    "product shape fault, unknown mode": (
-        [("mode", "integer"), ("products.1.result.0", None)],
-        PresentationError, "result entry of product 'x'*'y': not a JSON object"),
-    "basis shape fault, product shape fault": (
-        [("basis.1", {"label": "x"}), ("products.0.b", None)],
-        PresentationError, "basis entry: missing field 'degree'"),
-    "basis duplicate label, unknown target": (
-        [("basis.2.label", "x"), ("products.0.result.0.label", "w")],
-        PresentationError, "duplicate basis label 'x'"),
+    "product shape fault, unknown mode": (PresentationError, "result entry of product 'x'*'y': not a JSON object"),
+    "basis shape fault, product shape fault": (PresentationError, "basis entry: missing field 'degree'"),
+    "basis duplicate label, unknown target": (PresentationError, "duplicate basis label 'x'"),
     "bad fundamental, product degree mismatch": (
-        [("fundamental", "x"), ("products.0.result.0.label", "y")],
         MissingFundamental, "fundamental label 'x' is not a degree-4 basis element"),
-    "two product faults in entry order": (
-        [("products.0.result.0.label", "y"), ("products.1.a", "w")],
-        PresentationError, "product 'x'*'x' (degree 4) targets 'y' of degree 2"),
-    "duplicate pair before a bad unit product": (
-        [("products.1", {"a": "x", "b": "x", "result": [_term("z", 2)]}),
-         ("products.2", {"a": "1", "b": "x", "result": [_term("y", 1)]})],
-        PresentationError, "duplicate product entry for pair ('x', 'x')"),
+    "two product faults in entry order": (PresentationError, "product 'x'*'x' (degree 4) targets 'y' of degree 2"),
+    "duplicate pair before a bad unit product": (PresentationError, "duplicate product entry for pair ('x', 'x')"),
     "bad unit product before a degree mismatch": (
-        [("products.0", {"a": "1", "b": "x", "result": [_term("y", 1)]}), ("products.2.result.0.label", "x")],
         BadUnit, "product with the unit must reproduce the other factor: '1'*'x'"),
-    "no result field, then an unknown factor": (
-        [("products.0", {"a": "x", "b": "x"}), ("products.2.a", "q")],
-        PresentationError, "product entry names unknown label 'q'"),
+    "no result field, then an unknown factor": (PresentationError, "product entry names unknown label 'q'"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MULTI_FAULT_DOCUMENTS))
 def test_the_first_fault_of_a_document_is_named(name):
-    edits, error, message = MULTI_FAULT_DOCUMENTS[name]
-    document = copy.deepcopy(_XYZ_DOCUMENT)
-    for path, value in edits:
-        *parents, last = path.split(".")
-        node = document
-        for part in parents:
-            node = node[int(part)] if isinstance(node, list) else node[part]
-        node[int(last) if isinstance(node, list) else last] = value
     with pytest.raises(PresentationError) as raised:
-        make_ring(document)
-    assert (type(raised.value), str(raised.value)) == (error, message)
+        make_ring(replay.edited(replay.RING, replay.REFUSED_RINGS[name]))
+    assert (type(raised.value), str(raised.value)) == MULTI_FAULT_DOCUMENTS[name]
 
 
 # Documents with one shape fault that construction alone does not meet as an
 # unknown label or a bad coefficient: the one-pass install must fail on it,
-# so that the fault is named at all.  (edits, message), as above.
+# so that the fault is named at all.  (name in replay.REFUSED_RINGS, message)
+# by test name.
 LONE_SHAPE_FAULTS = {
-    "pair repeated with the same result": (
-        [("products.2", {"a": "x", "b": "x", "result": [_term("z", 1)]})],
-        "duplicate product entry for pair ('x', 'x')"),
-    "zero pair repeated, swapped": (
-        [("products.2", {"a": "y", "b": "x", "result": [_term("z", 0)]})],
-        "duplicate product entry for pair ('y', 'x')"),
+    "pair repeated with the same result": ("duplicate pair", "duplicate product entry for pair ('x', 'x')"),
+    "zero pair repeated, swapped": ("duplicate swapped pair", "duplicate product entry for pair ('y', 'x')"),
     "zero pair repeated with a nonzero result": (
-        [("products.2", {"a": "y", "b": "x", "result": [_term("z", 5)]})],
-        "duplicate product entry for pair ('y', 'x')"),
-    "unit pair repeated": (
-        [("products.1", {"a": "1", "b": "x", "result": [_term("x", 1)]}),
-         ("products.2", {"a": "x", "b": "1", "result": [_term("x", 1)]})],
-        "duplicate product entry for pair ('x', '1')"),
-    "target repeated with the same coefficient": (
-        [("products.0.result", [_term("z", 1), _term("z", 1)])], "duplicate target 'z' in product 'x'*'x'"),
-    "zero target repeated": (
-        [("products.1.result", [_term("z", 0), _term("z", 0)])], "duplicate target 'z' in product 'x'*'y'"),
-    "result an empty object": ([("products.1.result", {})], "product entry: field 'result' must be a list"),
-    "result an empty string": ([("products.1.result", "")], "product entry: field 'result' must be a list"),
+        "zero pair repeated with a nonzero result", "duplicate product entry for pair ('y', 'x')"),
+    "unit pair repeated": ("duplicate unit pair", "duplicate product entry for pair ('x', '1')"),
+    "target repeated with the same coefficient": ("duplicate target", "duplicate target 'z' in product 'x'*'x'"),
+    "zero target repeated": ("duplicate zero target", "duplicate target 'z' in product 'x'*'y'"),
+    "result an empty object": ("empty result object", "product entry: field 'result' must be a list"),
+    "result an empty string": ("empty result string", "product entry: field 'result' must be a list"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LONE_SHAPE_FAULTS))
 def test_a_lone_shape_fault_is_named(name):
-    edits, message = LONE_SHAPE_FAULTS[name]
-    document = copy.deepcopy(_XYZ_DOCUMENT)
-    for path, value in edits:
-        *parents, last = path.split(".")
-        node = document
-        for part in parents:
-            node = node[int(part)] if isinstance(node, list) else node[part]
-        node[int(last) if isinstance(node, list) else last] = value
+    document, message = LONE_SHAPE_FAULTS[name]
     with pytest.raises(PresentationError) as raised:
-        make_ring(document)
+        make_ring(replay.edited(replay.RING, replay.REFUSED_RINGS[document]))
     assert (type(raised.value), str(raised.value)) == (PresentationError, message)
 
 
@@ -866,11 +793,11 @@ def test_the_fault_walk_is_never_entered_for_a_valid_document(monkeypatch):
         raise AssertionError("the fault walk was entered")
 
     monkeypatch.setattr(gring, "_raise_shape_fault", walk)
-    for document in [FOUR_MANIFOLD_SPEC, _XYZ_DOCUMENT, *(ring.serialize() for ring in uvw_rings())]:
+    for document in [FOUR_MANIFOLD_SPEC, replay.RING, *(ring.serialize() for ring in uvw_rings())]:
         make_ring(document)
     # A document that fails construction is walked.
     with pytest.raises(AssertionError, match="the fault walk was entered"):
-        make_ring(dict(_XYZ_DOCUMENT, fundamental="x"))
+        make_ring(dict(replay.RING, fundamental="x"))
 
 
 def test_element_spec_round_trip(four_ring):

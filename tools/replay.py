@@ -9,14 +9,14 @@ in a fresh ``python -m jetstrata.cli`` process with ``PYTHONPATH=SRC``, so
 the modules a command imports, ``cli.entry`` and the interpreter's exit are
 replayed too; the child writes UTF-8 whatever the locale.  One line per
 command: seed, workload, index, exit status, and the sha256 of its stdout
-and of its stderr.  A last line replays one ``filtration run`` of depth 3 on
-a 31,977-label Künneth product, the largest the tests build, from the static
-document ``DEPTH3_RUN`` below; its seed reads ``static``.  Then one
-``porteous`` runs on each ring document of ``REFUSED_RINGS``, all but the
-first refused, so that every refusal keeps its exit status and stderr
-bytes; those lines read seed ``static`` and the name ``ring:`` and the
-document's name.  Two sources give
-the same reports when their outputs are the same bytes, so
+and of its stderr.  The next line replays one ``filtration run`` of depth 3 on
+a 31,977-label Künneth product, the largest the tests build, from the
+document ``depth3_run`` writes with the benchmark's ring generator; its seed
+reads ``static``.  Then one ``porteous`` runs on each ring document of
+``REFUSED_RINGS``, all but the first refused, so that every refusal keeps
+its exit status and stderr bytes; those lines read seed ``static`` and the
+name ``ring:`` and the document's name.  Two sources give the same reports
+when their outputs are the same bytes, so
 
     python3 tools/replay.py OLD/src > old.txt
     python3 tools/replay.py src > new.txt
@@ -37,212 +37,21 @@ from pathlib import Path
 
 SEEDS = (1, 7)
 
-# Stages of dimension 32/72/128/200, each the truncated polynomial ring on
-# one generator x of degree 4/4/8/20, with a nonzero stage obstruction under
-# the schedule (the stages of tests/test_filtration.py::depth3_bundles).
-DEPTH3_RUN = """\
-{"d": 3, "schedule": [8, 19, 58, 318, 384], "stages": [
- {"ring": {"mode": "integer_mod_torsion", "topDim": 32, "fundamental": "x^8", "basis": [
-   {"label":"1","degree":0}, {"label":"x","degree":4}, {"label":"x^2","degree":8}, {"label":"x^3","degree":12},
-   {"label":"x^4","degree":16}, {"label":"x^5","degree":20}, {"label":"x^6","degree":24}, {"label":"x^7","degree":28},
-   {"label":"x^8","degree":32}],
-  "products": [
-   {"a":"x","b":"x","result":[{"label":"x^2","coeff":1}]}, {"a":"x","b":"x^2","result":[{"label":"x^3","coeff":1}]},
-   {"a":"x","b":"x^3","result":[{"label":"x^4","coeff":1}]}, {"a":"x","b":"x^4","result":[{"label":"x^5","coeff":1}]},
-   {"a":"x","b":"x^5","result":[{"label":"x^6","coeff":1}]}, {"a":"x","b":"x^6","result":[{"label":"x^7","coeff":1}]},
-   {"a":"x","b":"x^7","result":[{"label":"x^8","coeff":1}]}, {"a":"x^2","b":"x^2","result":[{"label":"x^4","coeff":1}]},
-   {"a":"x^2","b":"x^3","result":[{"label":"x^5","coeff":1}]},
-   {"a":"x^2","b":"x^4","result":[{"label":"x^6","coeff":1}]},
-   {"a":"x^2","b":"x^5","result":[{"label":"x^7","coeff":1}]},
-   {"a":"x^2","b":"x^6","result":[{"label":"x^8","coeff":1}]},
-   {"a":"x^3","b":"x^3","result":[{"label":"x^6","coeff":1}]},
-   {"a":"x^3","b":"x^4","result":[{"label":"x^7","coeff":1}]},
-   {"a":"x^3","b":"x^5","result":[{"label":"x^8","coeff":1}]},
-   {"a":"x^4","b":"x^4","result":[{"label":"x^8","coeff":1}]}]},
-  "bundle": {"totalPositive": [{"label":"1","coeff":1}, {"label":"x","coeff":1}, {"label":"x^2","coeff":1}],
-   "totalNegativePulled": [{"label":"1","coeff":1}, {"label":"x","coeff":-1}]}},
- {"ring": {"mode": "integer_mod_torsion", "topDim": 72, "fundamental": "x^18", "basis": [
-   {"label":"1","degree":0}, {"label":"x","degree":4}, {"label":"x^2","degree":8}, {"label":"x^3","degree":12},
-   {"label":"x^4","degree":16}, {"label":"x^5","degree":20}, {"label":"x^6","degree":24}, {"label":"x^7","degree":28},
-   {"label":"x^8","degree":32}, {"label":"x^9","degree":36}, {"label":"x^10","degree":40}, {"label":"x^11","degree":44},
-   {"label":"x^12","degree":48}, {"label":"x^13","degree":52}, {"label":"x^14","degree":56},
-   {"label":"x^15","degree":60}, {"label":"x^16","degree":64}, {"label":"x^17","degree":68},
-   {"label":"x^18","degree":72}],
-  "products": [
-   {"a":"x","b":"x","result":[{"label":"x^2","coeff":1}]}, {"a":"x","b":"x^2","result":[{"label":"x^3","coeff":1}]},
-   {"a":"x","b":"x^3","result":[{"label":"x^4","coeff":1}]}, {"a":"x","b":"x^4","result":[{"label":"x^5","coeff":1}]},
-   {"a":"x","b":"x^5","result":[{"label":"x^6","coeff":1}]}, {"a":"x","b":"x^6","result":[{"label":"x^7","coeff":1}]},
-   {"a":"x","b":"x^7","result":[{"label":"x^8","coeff":1}]}, {"a":"x","b":"x^8","result":[{"label":"x^9","coeff":1}]},
-   {"a":"x","b":"x^9","result":[{"label":"x^10","coeff":1}]}, {"a":"x","b":"x^10","result":[{"label":"x^11","coeff":1}]},
-   {"a":"x","b":"x^11","result":[{"label":"x^12","coeff":1}]},
-   {"a":"x","b":"x^12","result":[{"label":"x^13","coeff":1}]},
-   {"a":"x","b":"x^13","result":[{"label":"x^14","coeff":1}]},
-   {"a":"x","b":"x^14","result":[{"label":"x^15","coeff":1}]},
-   {"a":"x","b":"x^15","result":[{"label":"x^16","coeff":1}]},
-   {"a":"x","b":"x^16","result":[{"label":"x^17","coeff":1}]},
-   {"a":"x","b":"x^17","result":[{"label":"x^18","coeff":1}]},
-   {"a":"x^2","b":"x^2","result":[{"label":"x^4","coeff":1}]},
-   {"a":"x^2","b":"x^3","result":[{"label":"x^5","coeff":1}]},
-   {"a":"x^2","b":"x^4","result":[{"label":"x^6","coeff":1}]},
-   {"a":"x^2","b":"x^5","result":[{"label":"x^7","coeff":1}]},
-   {"a":"x^2","b":"x^6","result":[{"label":"x^8","coeff":1}]},
-   {"a":"x^2","b":"x^7","result":[{"label":"x^9","coeff":1}]},
-   {"a":"x^2","b":"x^8","result":[{"label":"x^10","coeff":1}]},
-   {"a":"x^2","b":"x^9","result":[{"label":"x^11","coeff":1}]},
-   {"a":"x^2","b":"x^10","result":[{"label":"x^12","coeff":1}]},
-   {"a":"x^2","b":"x^11","result":[{"label":"x^13","coeff":1}]},
-   {"a":"x^2","b":"x^12","result":[{"label":"x^14","coeff":1}]},
-   {"a":"x^2","b":"x^13","result":[{"label":"x^15","coeff":1}]},
-   {"a":"x^2","b":"x^14","result":[{"label":"x^16","coeff":1}]},
-   {"a":"x^2","b":"x^15","result":[{"label":"x^17","coeff":1}]},
-   {"a":"x^2","b":"x^16","result":[{"label":"x^18","coeff":1}]},
-   {"a":"x^3","b":"x^3","result":[{"label":"x^6","coeff":1}]},
-   {"a":"x^3","b":"x^4","result":[{"label":"x^7","coeff":1}]},
-   {"a":"x^3","b":"x^5","result":[{"label":"x^8","coeff":1}]},
-   {"a":"x^3","b":"x^6","result":[{"label":"x^9","coeff":1}]},
-   {"a":"x^3","b":"x^7","result":[{"label":"x^10","coeff":1}]},
-   {"a":"x^3","b":"x^8","result":[{"label":"x^11","coeff":1}]},
-   {"a":"x^3","b":"x^9","result":[{"label":"x^12","coeff":1}]},
-   {"a":"x^3","b":"x^10","result":[{"label":"x^13","coeff":1}]},
-   {"a":"x^3","b":"x^11","result":[{"label":"x^14","coeff":1}]},
-   {"a":"x^3","b":"x^12","result":[{"label":"x^15","coeff":1}]},
-   {"a":"x^3","b":"x^13","result":[{"label":"x^16","coeff":1}]},
-   {"a":"x^3","b":"x^14","result":[{"label":"x^17","coeff":1}]},
-   {"a":"x^3","b":"x^15","result":[{"label":"x^18","coeff":1}]},
-   {"a":"x^4","b":"x^4","result":[{"label":"x^8","coeff":1}]},
-   {"a":"x^4","b":"x^5","result":[{"label":"x^9","coeff":1}]},
-   {"a":"x^4","b":"x^6","result":[{"label":"x^10","coeff":1}]},
-   {"a":"x^4","b":"x^7","result":[{"label":"x^11","coeff":1}]},
-   {"a":"x^4","b":"x^8","result":[{"label":"x^12","coeff":1}]},
-   {"a":"x^4","b":"x^9","result":[{"label":"x^13","coeff":1}]},
-   {"a":"x^4","b":"x^10","result":[{"label":"x^14","coeff":1}]},
-   {"a":"x^4","b":"x^11","result":[{"label":"x^15","coeff":1}]},
-   {"a":"x^4","b":"x^12","result":[{"label":"x^16","coeff":1}]},
-   {"a":"x^4","b":"x^13","result":[{"label":"x^17","coeff":1}]},
-   {"a":"x^4","b":"x^14","result":[{"label":"x^18","coeff":1}]},
-   {"a":"x^5","b":"x^5","result":[{"label":"x^10","coeff":1}]},
-   {"a":"x^5","b":"x^6","result":[{"label":"x^11","coeff":1}]},
-   {"a":"x^5","b":"x^7","result":[{"label":"x^12","coeff":1}]},
-   {"a":"x^5","b":"x^8","result":[{"label":"x^13","coeff":1}]},
-   {"a":"x^5","b":"x^9","result":[{"label":"x^14","coeff":1}]},
-   {"a":"x^5","b":"x^10","result":[{"label":"x^15","coeff":1}]},
-   {"a":"x^5","b":"x^11","result":[{"label":"x^16","coeff":1}]},
-   {"a":"x^5","b":"x^12","result":[{"label":"x^17","coeff":1}]},
-   {"a":"x^5","b":"x^13","result":[{"label":"x^18","coeff":1}]},
-   {"a":"x^6","b":"x^6","result":[{"label":"x^12","coeff":1}]},
-   {"a":"x^6","b":"x^7","result":[{"label":"x^13","coeff":1}]},
-   {"a":"x^6","b":"x^8","result":[{"label":"x^14","coeff":1}]},
-   {"a":"x^6","b":"x^9","result":[{"label":"x^15","coeff":1}]},
-   {"a":"x^6","b":"x^10","result":[{"label":"x^16","coeff":1}]},
-   {"a":"x^6","b":"x^11","result":[{"label":"x^17","coeff":1}]},
-   {"a":"x^6","b":"x^12","result":[{"label":"x^18","coeff":1}]},
-   {"a":"x^7","b":"x^7","result":[{"label":"x^14","coeff":1}]},
-   {"a":"x^7","b":"x^8","result":[{"label":"x^15","coeff":1}]},
-   {"a":"x^7","b":"x^9","result":[{"label":"x^16","coeff":1}]},
-   {"a":"x^7","b":"x^10","result":[{"label":"x^17","coeff":1}]},
-   {"a":"x^7","b":"x^11","result":[{"label":"x^18","coeff":1}]},
-   {"a":"x^8","b":"x^8","result":[{"label":"x^16","coeff":1}]},
-   {"a":"x^8","b":"x^9","result":[{"label":"x^17","coeff":1}]},
-   {"a":"x^8","b":"x^10","result":[{"label":"x^18","coeff":1}]},
-   {"a":"x^9","b":"x^9","result":[{"label":"x^18","coeff":1}]}]},
-  "bundle": {"totalPositive": [{"label":"1","coeff":1}, {"label":"x","coeff":1}, {"label":"x^2","coeff":1}, {"label":"x^3","coeff":-1}],
-   "totalNegativePulled": [{"label":"1","coeff":1}, {"label":"x","coeff":-1}]}},
- {"ring": {"mode": "integer_mod_torsion", "topDim": 128, "fundamental": "x^16", "basis": [
-   {"label":"1","degree":0}, {"label":"x","degree":8}, {"label":"x^2","degree":16}, {"label":"x^3","degree":24},
-   {"label":"x^4","degree":32}, {"label":"x^5","degree":40}, {"label":"x^6","degree":48}, {"label":"x^7","degree":56},
-   {"label":"x^8","degree":64}, {"label":"x^9","degree":72}, {"label":"x^10","degree":80}, {"label":"x^11","degree":88},
-   {"label":"x^12","degree":96}, {"label":"x^13","degree":104}, {"label":"x^14","degree":112},
-   {"label":"x^15","degree":120}, {"label":"x^16","degree":128}],
-  "products": [
-   {"a":"x","b":"x","result":[{"label":"x^2","coeff":1}]}, {"a":"x","b":"x^2","result":[{"label":"x^3","coeff":1}]},
-   {"a":"x","b":"x^3","result":[{"label":"x^4","coeff":1}]}, {"a":"x","b":"x^4","result":[{"label":"x^5","coeff":1}]},
-   {"a":"x","b":"x^5","result":[{"label":"x^6","coeff":1}]}, {"a":"x","b":"x^6","result":[{"label":"x^7","coeff":1}]},
-   {"a":"x","b":"x^7","result":[{"label":"x^8","coeff":1}]}, {"a":"x","b":"x^8","result":[{"label":"x^9","coeff":1}]},
-   {"a":"x","b":"x^9","result":[{"label":"x^10","coeff":1}]}, {"a":"x","b":"x^10","result":[{"label":"x^11","coeff":1}]},
-   {"a":"x","b":"x^11","result":[{"label":"x^12","coeff":1}]},
-   {"a":"x","b":"x^12","result":[{"label":"x^13","coeff":1}]},
-   {"a":"x","b":"x^13","result":[{"label":"x^14","coeff":1}]},
-   {"a":"x","b":"x^14","result":[{"label":"x^15","coeff":1}]},
-   {"a":"x","b":"x^15","result":[{"label":"x^16","coeff":1}]},
-   {"a":"x^2","b":"x^2","result":[{"label":"x^4","coeff":1}]},
-   {"a":"x^2","b":"x^3","result":[{"label":"x^5","coeff":1}]},
-   {"a":"x^2","b":"x^4","result":[{"label":"x^6","coeff":1}]},
-   {"a":"x^2","b":"x^5","result":[{"label":"x^7","coeff":1}]},
-   {"a":"x^2","b":"x^6","result":[{"label":"x^8","coeff":1}]},
-   {"a":"x^2","b":"x^7","result":[{"label":"x^9","coeff":1}]},
-   {"a":"x^2","b":"x^8","result":[{"label":"x^10","coeff":1}]},
-   {"a":"x^2","b":"x^9","result":[{"label":"x^11","coeff":1}]},
-   {"a":"x^2","b":"x^10","result":[{"label":"x^12","coeff":1}]},
-   {"a":"x^2","b":"x^11","result":[{"label":"x^13","coeff":1}]},
-   {"a":"x^2","b":"x^12","result":[{"label":"x^14","coeff":1}]},
-   {"a":"x^2","b":"x^13","result":[{"label":"x^15","coeff":1}]},
-   {"a":"x^2","b":"x^14","result":[{"label":"x^16","coeff":1}]},
-   {"a":"x^3","b":"x^3","result":[{"label":"x^6","coeff":1}]},
-   {"a":"x^3","b":"x^4","result":[{"label":"x^7","coeff":1}]},
-   {"a":"x^3","b":"x^5","result":[{"label":"x^8","coeff":1}]},
-   {"a":"x^3","b":"x^6","result":[{"label":"x^9","coeff":1}]},
-   {"a":"x^3","b":"x^7","result":[{"label":"x^10","coeff":1}]},
-   {"a":"x^3","b":"x^8","result":[{"label":"x^11","coeff":1}]},
-   {"a":"x^3","b":"x^9","result":[{"label":"x^12","coeff":1}]},
-   {"a":"x^3","b":"x^10","result":[{"label":"x^13","coeff":1}]},
-   {"a":"x^3","b":"x^11","result":[{"label":"x^14","coeff":1}]},
-   {"a":"x^3","b":"x^12","result":[{"label":"x^15","coeff":1}]},
-   {"a":"x^3","b":"x^13","result":[{"label":"x^16","coeff":1}]},
-   {"a":"x^4","b":"x^4","result":[{"label":"x^8","coeff":1}]},
-   {"a":"x^4","b":"x^5","result":[{"label":"x^9","coeff":1}]},
-   {"a":"x^4","b":"x^6","result":[{"label":"x^10","coeff":1}]},
-   {"a":"x^4","b":"x^7","result":[{"label":"x^11","coeff":1}]},
-   {"a":"x^4","b":"x^8","result":[{"label":"x^12","coeff":1}]},
-   {"a":"x^4","b":"x^9","result":[{"label":"x^13","coeff":1}]},
-   {"a":"x^4","b":"x^10","result":[{"label":"x^14","coeff":1}]},
-   {"a":"x^4","b":"x^11","result":[{"label":"x^15","coeff":1}]},
-   {"a":"x^4","b":"x^12","result":[{"label":"x^16","coeff":1}]},
-   {"a":"x^5","b":"x^5","result":[{"label":"x^10","coeff":1}]},
-   {"a":"x^5","b":"x^6","result":[{"label":"x^11","coeff":1}]},
-   {"a":"x^5","b":"x^7","result":[{"label":"x^12","coeff":1}]},
-   {"a":"x^5","b":"x^8","result":[{"label":"x^13","coeff":1}]},
-   {"a":"x^5","b":"x^9","result":[{"label":"x^14","coeff":1}]},
-   {"a":"x^5","b":"x^10","result":[{"label":"x^15","coeff":1}]},
-   {"a":"x^5","b":"x^11","result":[{"label":"x^16","coeff":1}]},
-   {"a":"x^6","b":"x^6","result":[{"label":"x^12","coeff":1}]},
-   {"a":"x^6","b":"x^7","result":[{"label":"x^13","coeff":1}]},
-   {"a":"x^6","b":"x^8","result":[{"label":"x^14","coeff":1}]},
-   {"a":"x^6","b":"x^9","result":[{"label":"x^15","coeff":1}]},
-   {"a":"x^6","b":"x^10","result":[{"label":"x^16","coeff":1}]},
-   {"a":"x^7","b":"x^7","result":[{"label":"x^14","coeff":1}]},
-   {"a":"x^7","b":"x^8","result":[{"label":"x^15","coeff":1}]},
-   {"a":"x^7","b":"x^9","result":[{"label":"x^16","coeff":1}]},
-   {"a":"x^8","b":"x^8","result":[{"label":"x^16","coeff":1}]}]},
-  "bundle": {"totalPositive": [{"label":"1","coeff":1}, {"label":"x","coeff":1}, {"label":"x^2","coeff":1}, {"label":"x^3","coeff":-1}],
-   "totalNegativePulled": [{"label":"1","coeff":1}, {"label":"x","coeff":-1}]}},
- {"ring": {"mode": "integer_mod_torsion", "topDim": 200, "fundamental": "x^10", "basis": [
-   {"label":"1","degree":0}, {"label":"x","degree":20}, {"label":"x^2","degree":40}, {"label":"x^3","degree":60},
-   {"label":"x^4","degree":80}, {"label":"x^5","degree":100}, {"label":"x^6","degree":120}, {"label":"x^7","degree":140},
-   {"label":"x^8","degree":160}, {"label":"x^9","degree":180}, {"label":"x^10","degree":200}],
-  "products": [
-   {"a":"x","b":"x","result":[{"label":"x^2","coeff":1}]}, {"a":"x","b":"x^2","result":[{"label":"x^3","coeff":1}]},
-   {"a":"x","b":"x^3","result":[{"label":"x^4","coeff":1}]}, {"a":"x","b":"x^4","result":[{"label":"x^5","coeff":1}]},
-   {"a":"x","b":"x^5","result":[{"label":"x^6","coeff":1}]}, {"a":"x","b":"x^6","result":[{"label":"x^7","coeff":1}]},
-   {"a":"x","b":"x^7","result":[{"label":"x^8","coeff":1}]}, {"a":"x","b":"x^8","result":[{"label":"x^9","coeff":1}]},
-   {"a":"x","b":"x^9","result":[{"label":"x^10","coeff":1}]}, {"a":"x^2","b":"x^2","result":[{"label":"x^4","coeff":1}]},
-   {"a":"x^2","b":"x^3","result":[{"label":"x^5","coeff":1}]},
-   {"a":"x^2","b":"x^4","result":[{"label":"x^6","coeff":1}]},
-   {"a":"x^2","b":"x^5","result":[{"label":"x^7","coeff":1}]},
-   {"a":"x^2","b":"x^6","result":[{"label":"x^8","coeff":1}]},
-   {"a":"x^2","b":"x^7","result":[{"label":"x^9","coeff":1}]},
-   {"a":"x^2","b":"x^8","result":[{"label":"x^10","coeff":1}]},
-   {"a":"x^3","b":"x^3","result":[{"label":"x^6","coeff":1}]},
-   {"a":"x^3","b":"x^4","result":[{"label":"x^7","coeff":1}]},
-   {"a":"x^3","b":"x^5","result":[{"label":"x^8","coeff":1}]},
-   {"a":"x^3","b":"x^6","result":[{"label":"x^9","coeff":1}]},
-   {"a":"x^3","b":"x^7","result":[{"label":"x^10","coeff":1}]},
-   {"a":"x^4","b":"x^4","result":[{"label":"x^8","coeff":1}]},
-   {"a":"x^4","b":"x^5","result":[{"label":"x^9","coeff":1}]},
-   {"a":"x^4","b":"x^6","result":[{"label":"x^10","coeff":1}]},
-   {"a":"x^5","b":"x^5","result":[{"label":"x^10","coeff":1}]}]},
-  "bundle": {"totalPositive": [{"label":"1","coeff":1}, {"label":"x","coeff":1}, {"label":"x^2","coeff":1}, {"label":"x^3","coeff":-1}],
-   "totalNegativePulled": [{"label":"1","coeff":1}, {"label":"x","coeff":-1}]}}]}
-"""
+
+def depth3_run() -> dict:
+    """The run document of tests/test_filtration.py::depth3_bundles under its
+    DEPTH3_SCHEDULE: stages of dimension 32/72/128/200, each the truncated
+    polynomial ring on one generator x of degree 4/4/8/20, with a nonzero
+    stage obstruction; ``bench`` must be on the module path."""
+    import gen
+
+    stages = []
+    for top, degree in ((32, 4), (72, 4), (128, 8), (200, 20)):
+        ring = gen.TruncPoly(["x"], [degree], top, mod2=False)
+        positive = {(0,): 1, (1,): 1, (2,): 1} | ({(3,): -1} if top > 32 else {})
+        bundle = gen.bundle_doc(ring, positive, {(0,): 1, (1,): -1})
+        stages.append({"ring": ring.presentation(ring.monomials[-1]), "bundle": bundle})
+    return {"d": 3, "schedule": [8, 19, 58, 318, 384], "stages": stages}
 
 
 # Refused ring documents, each the edits (dotted path, new value) of the ring
@@ -250,8 +59,9 @@ DEPTH3_RUN = """\
 # the field or item.  Each runs as one ``porteous`` on BUNDLE, whose line
 # pins the refusal's exit status and stderr.  The single-fault documents
 # reach every refusal that ``make_ring`` and ``ManifoldRing`` can raise from
-# a document; the multi-fault ones are those of
-# tests/test_gring.py::MULTI_FAULT_DOCUMENTS, whose first fault is named.
+# a document; of the multi-fault ones, the first fault is named.
+# tests/test_gring.py builds its fault documents from this table and pins
+# the error class and message of the multi-fault and lone shape faults.
 RING = {
     "mode": "integer_mod_torsion", "topDim": 4, "fundamental": "z",
     "basis": [{"label": "1", "degree": 0}, {"label": "x", "degree": 2}, {"label": "y", "degree": 2},
@@ -314,6 +124,7 @@ REFUSED_RINGS = {
     "duplicate zero target": [("products.1.result", [_term("z", 0), _term("z", 0)])],
     "duplicate pair": [("products.2", {"a": "x", "b": "x", "result": [_term("z", 1)]})],
     "duplicate swapped pair": [("products.2", {"a": "y", "b": "x", "result": [_term("z", 0)]})],
+    "zero pair repeated with a nonzero result": [("products.2", {"a": "y", "b": "x", "result": [_term("z", 5)]})],
     "duplicate unit pair": [("products.1", {"a": "1", "b": "x", "result": [_term("x", 1)]}),
                             ("products.2", {"a": "x", "b": "1", "result": [_term("x", 1)]})],
     # Basis.
@@ -345,7 +156,7 @@ REFUSED_RINGS = {
     "unit product zero": [("products.1", {"a": "x", "b": "1"})],
     "not associative": [("", _NON_ASSOCIATIVE)],
     "past the triple cap": [("", _PAST_THE_TRIPLE_CAP)],
-    # tests/test_gring.py::MULTI_FAULT_DOCUMENTS.
+    # Several faults.
     "late shape fault, early unknown factor": [("products.0.a", "w"), ("products.2.b", "")],
     "late shape fault, early unknown target": [("products.0.result.0.label", "w"), ("products.2.result", {})],
     "late missing coeff, early degree mismatch": [
@@ -414,7 +225,8 @@ def main(argv: list[str]) -> int:
             workload = build(seed)
             files = {file_name: json.dumps(document) for file_name, document in workload.files.items()}
             replay(env, seed, name, files, [command.argv for command in workload.commands])
-    replay(env, "static", "filtration-depth3", {"run.json": DEPTH3_RUN}, [["filtration", "run", "--spec", "@run.json"]])
+    run = json.dumps(depth3_run())
+    replay(env, "static", "filtration-depth3", {"run.json": run}, [["filtration", "run", "--spec", "@run.json"]])
     for name, edits in [("accepted", []), *REFUSED_RINGS.items()]:
         files = {"ring.json": json.dumps(edited(RING, edits)), "bundle.json": BUNDLE}
         replay(env, "static", "ring:" + name.replace(" ", "-"), files, [PORTEOUS])
