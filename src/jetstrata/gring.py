@@ -107,14 +107,57 @@ def _positions_at_most(degrees: Sequence[int], unit: int) -> Callable[[int], lis
     return lambda bound: built(bisect_right(keys, bound))
 
 
+def _pair_slices(degrees: Sequence[int], unit: int) -> Callable:
+    """``slices(bound, start=0)``: one (y, [z, ...]) per non-unit position
+    y >= start that has a z, the non-unit positions z >= y with
+    deg y + deg z <= bound, ascending.
+
+    Only the ys with a z are stepped: reach[y], deg y plus the least non-unit
+    degree at or after position y, is at most ``bound`` exactly for those."""
+    at_most = _positions_at_most(degrees, unit)
+    # floor[p]: the least non-unit degree at or after position p.  Only the
+    # unit has degree 0; it is no z, so it counts as past every bound.
+    floor = list(itertools.accumulate([d or math.inf for d in reversed(degrees)], min))[::-1]
+    reaching = _positions_at_most([d + f for d, f in zip(degrees, floor)], unit)
+
+    def slices(bound, start=0):
+        ys = reaching(bound)
+        for y in ys[bisect_left(ys, start):]:
+            zs = at_most(bound - degrees[y])
+            yield y, zs[bisect_left(zs, y):]
+
+    return slices
+
+
 def _bounded_pairs(degrees: Sequence[int], unit: int, bound: int) -> Iterator[tuple[int, int]]:
     """The position pairs x <= y, neither ``unit``, whose degrees sum to at
     most ``bound``, in the order of ``combinations_with_replacement``; no
     other pair is visited."""
-    at_most = _positions_at_most(degrees, unit)
-    for x in at_most(bound):
-        ys = at_most(bound - degrees[x])
-        yield from zip(itertools.repeat(x), ys[bisect_left(ys, x):])
+    for x, ys in _pair_slices(degrees, unit)(bound):
+        yield from zip(itertools.repeat(x), ys)
+
+
+def _histogram(positions_by_degree: Mapping[int, Sequence[int]]) -> tuple:
+    """The non-unit degrees ascending, the labels in each, and ``below[k]``,
+    the labels in the first k degrees; degree 0 holds the unit alone."""
+    degrees = sorted(positions_by_degree)[1:]
+    sizes = [len(positions_by_degree[d]) for d in degrees]
+    return degrees, sizes, list(itertools.accumulate(sizes, initial=0))
+
+
+def _bounded_pair_count(histogram: tuple, bound: int, start: int = 0) -> int:
+    """The non-unit position pairs x <= z whose degrees sum to at most
+    ``bound``, both in the degrees of ``_histogram`` from index ``start`` on:
+    per least degree, the pairs within it and those with a higher second
+    degree.  Only the degrees that have a second are stepped."""
+    degrees, sizes, below = histogram
+    pairs = 0
+    for a in range(start, len(degrees)):
+        if 2 * degrees[a] > bound:
+            break
+        n = sizes[a]
+        pairs += n * (n + 1) // 2 + n * (below[bisect_right(degrees, bound - degrees[a])] - below[a + 1])
+    return pairs
 
 
 class ManifoldRing:
@@ -283,38 +326,47 @@ class ManifoldRing:
             return ((i, 1),)
         return self._table.get((i, j) if i <= j else (j, i), ())
 
+    def _bounded_triple_count(self) -> int:
+        """The non-unit position triples x <= y <= z whose degrees sum to at
+        most top_dim, counted from the degree histogram; past
+        MAX_ASSOC_TRIPLES, a PresentationError as soon as the count passes it.
+
+        Per least degree d, with n labels: the triples that take one of them
+        and a bounded pair of higher degrees, two of them and one label of a
+        degree in (d, top - 2d], or three of them.  Only the degree pairs
+        that have a third are stepped."""
+        histogram, top, cap = _histogram(self.positions_by_degree), self.top_dim, MAX_ASSOC_TRIPLES
+        degrees, sizes, below = histogram
+        triples = 0
+        for a, (d, n) in enumerate(zip(degrees, sizes)):
+            if 3 * d > top:
+                break
+            above = below[bisect_right(degrees, top - 2 * d)] - below[a + 1]
+            triples += n * _bounded_pair_count(histogram, top - d, a + 1) + n * (n + 1) // 2 * above + n * (n + 1) * (n + 2) // 6
+            if triples > cap:
+                raise PresentationError(f"associativity check exceeds the cap MAX_ASSOC_TRIPLES = {cap} triples")
+        return triples
+
     def _triple_slices(self) -> Iterator[tuple[int, int, list[int]]]:
         """Non-unit position triples x <= y <= z whose degrees sum to at most
         top_dim, one (x, y, [z, ...]) per pair that has a z, in the order of
         ``combinations_with_replacement``; past MAX_ASSOC_TRIPLES triples, a
-        PresentationError before the first.
+        PresentationError before the first."""
+        self._bounded_triple_count()
+        degrees, top, slices = self.degrees, self.top_dim, _pair_slices(self.degrees, self.unit_position)
+        for x, degree in enumerate(degrees):
+            if x != self.unit_position:
+                for y, zs in slices(top - degree, x):
+                    yield x, y, zs
 
-        Only the pairs with a z are stepped: reach[y], deg y plus the least
-        non-unit degree at or after position y, is at most top - deg x
-        exactly for those."""
-        degrees, top, unit, cap = self.degrees, self.top_dim, self.unit_position, MAX_ASSOC_TRIPLES
-        at_most = _positions_at_most(degrees, unit)
-        # floor[p]: the least non-unit degree at or after position p.  Only
-        # the unit has degree 0; it is no z, so it counts as past the top.
-        floor = list(itertools.accumulate([d or top + 1 for d in reversed(degrees)], min))[::-1]
-        reaching = _positions_at_most([d + f for d, f in zip(degrees, floor)], unit)
-        slices, triples = [], 0
-        for x in at_most(top - floor[0]):
-            ys = reaching(top - degrees[x])
-            for y in ys[bisect_left(ys, x):]:
-                zs = at_most(top - degrees[x] - degrees[y])
-                lo = bisect_left(zs, y)
-                triples += len(zs) - lo
-                if triples > cap:
-                    raise PresentationError(f"associativity check exceeds the cap MAX_ASSOC_TRIPLES = {cap} triples")
-                slices.append((x, y, zs[lo:]))
-        yield from slices
-
-    def _verify_associativity(self) -> None:
-        # Triples with total degree above top_dim associate trivially (both
-        # sides truncate), so only bounded-degree triples are enumerated.
-        # Each side is compared as a normalized term tuple, by position.
+    def _product_rows(self):
+        """``rows[i][j]``, the stored product of positions i and j, the
+        ``get`` of each row, and ``times(terms, z)``, the product of such
+        terms with position z as a normalized term tuple, called like
+        dict.get."""
         rows: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in self.labels]
+        for (i, j), packed in self._table.items():
+            rows[i][j] = rows[j][i] = packed
         normal = self._normal
 
         def times(terms: tuple[tuple[int, int], ...], z: int, default=()) -> tuple[tuple[int, int], ...]:
@@ -324,15 +376,61 @@ class ManifoldRing:
                     acc[u] = acc.get(u, 0) + c * d
             return tuple(sorted((u, v) for u, v in ((u, normal(v)) for u, v in acc.items()) if v))
 
+        return rows, [row.get for row in rows], times
+
+    def _associates_through_generators(self) -> bool | None:
+        """Whether the ring associates, decided on its generators, or None
+        when that takes more checks than the bounded triples.
+
+        Call a label covered when a stored product of two non-unit labels is
+        ±1 times it, and let G be the non-unit labels not covered.  The middle
+        nucleus {m : (x*m)*z = x*(m*z) for all x, z} holds the unit and is
+        closed under sums and products, and each covered label is ±1 times a
+        product of two labels of lower degree.  So, by induction on degree,
+        the ring associates exactly when (x*g)*z = x*(g*z) for every g in G
+        and non-unit x <= z with deg x + deg g + deg z <= top; above the top
+        both sides are zero, and the table is commutative, so (z, x) gives
+        the same equation."""
+        triples = self._bounded_triple_count()
+        degrees, top = self.degrees, self.top_dim
+        covered = {packed[0][0] for packed in self._table.values() if len(packed) == 1 and packed[0][1] in (1, -1)}
+        histogram, generators, checks = _histogram(self.positions_by_degree), [], 0
+        for g, d in enumerate(degrees):
+            # A label with no bounded pair to check is left out.
+            if d and g not in covered and (pairs := _bounded_pair_count(histogram, top - d)):
+                generators.append(g)
+                checks += pairs
+                if checks > triples:
+                    return None
+        rows, row_gets, times = self._product_rows()
+        slices, zero = _pair_slices(degrees, self.unit_position), {}.get
+        for g in generators:
+            # by_g[x](z, ()) is (g*x)*z, as in _verify_associativity.
+            by_g = [zero] * len(degrees)
+            for x, packed in rows[g].items():
+                t, c = packed[0]
+                by_g[x] = row_gets[t] if c == 1 and len(packed) == 1 else partial(times, packed)
+            for x, zs in slices(top - degrees[g]):
+                if list(map(by_g[x], zs, itertools.repeat(()))) != [by_g[z](x, ()) for z in zs]:
+                    return False
+        return True
+
+    def _verify_associativity(self) -> None:
+        # Triples with total degree above top_dim associate trivially (both
+        # sides truncate), so only bounded-degree triples are enumerated.
+        # Each side is compared as a normalized term tuple, by position.  The
+        # walk over every triple runs only when the generators do not decide,
+        # and names the first triple that fails.
+        if self._associates_through_generators():
+            return
+        _, row_gets, times = self._product_rows()
         # by[i][j](z, ()) is (i*j)*z, called like dict.get: a product that is
         # one basis element with coefficient 1 multiplies by its row.
-        by: list[dict[int, Callable]] = [{} for _ in self.labels]
-        row_gets = [row.get for row in rows]
+        by: list[dict[int, Callable]] = [{} for _ in row_gets]
+        zero = {}.get
         for (i, j), packed in self._table.items():
-            rows[i][j] = rows[j][i] = packed
             t, c = packed[0]
             by[i][j] = by[j][i] = row_gets[t] if c == 1 and len(packed) == 1 else partial(times, packed)
-        zero = {}.get
         for x, y, zs in self._triple_slices():
             by_x, by_y = by[x], by[y]
             xy = by_x.get(y, zero)

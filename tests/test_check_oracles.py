@@ -10,7 +10,9 @@ several terms with coefficients other than ±1; in integer mode every
 non-unit product may also be scaled by 2 or 3, which keeps it associative
 and gives single-term products with such coefficients.  One product entry or
 one map image is then perturbed, and the ring or map must be rejected exactly when
-the reference finds a failure, at the same first triple or pair.
+the reference finds a failure, at the same first triple or pair.  The check
+of associativity on the generators alone is held to the same reference on
+truncated polynomial rings with one product edited.
 
 Unperturbed maps must commute with the graded determinant and the inverse of
 a total class.  The exact rank behind the injectivity check is compared with
@@ -317,6 +319,71 @@ def _presentation(ring):
     labels = ring.labels
     products = {(labels[i], labels[j]): {labels[t]: c for t, c in packed} for (i, j), packed in ring._product_entries()}
     return list(zip(labels, ring.degrees)), products
+
+
+def _monomial_count(degrees, top):
+    exponents = itertools.product(*(range(top // d + 1) for d in degrees))
+    return sum(sum(x * d for x, d in zip(e, degrees)) <= top for e in exponents)
+
+
+@st.composite
+def edited_polynomial_rings(draw):
+    """(mode, top, basis, products, fundamental) by label: the truncated
+    polynomial ring on one to three generators u, v, w, under a multiple of
+    the degree of u of at most 14, from the upper half of those that give at
+    most 120 labels; in three draws out of four one product is edited:
+    deleted, its coefficient scaled by 2, 3 or -1 (integer mode), or its
+    term retargeted to, or joined by, another label of its degree when there
+    is one."""
+    mode = draw(st.sampled_from(sorted(SHAPES)))
+    step = 1 if mode == "mod2" else 2
+    degrees = draw(st.lists(st.integers(1, 3).map(step.__mul__), min_size=1, max_size=3))
+    tops = [k for k in range(1, 14 // degrees[0] + 1) if _monomial_count(degrees, k * degrees[0]) <= 120]
+    k = draw(st.sampled_from(tops[len(tops) // 2:]))
+    fundamental = "u" if k == 1 else f"u^{k}"
+    basis, products = _presentation(truncated_polynomial_ring(mode, k * degrees[0], list(zip("uvw", degrees)), fundamental))
+    if products and draw(st.integers(0, 3)):
+        pair = draw(st.sampled_from(sorted(products)))
+        (label, coefficient), = products[pair].items()  # every product is one monomial
+        same = [other for other, d in basis if d == dict(basis)[label] and other != label]
+        edit = draw(st.sampled_from(["delete", "retarget", "add"] + ([] if mode == "mod2" else ["scale"])))
+        if edit == "delete":
+            del products[pair]
+        elif edit == "scale":
+            products[pair] = {label: coefficient * draw(st.sampled_from([2, 3, -1]))}
+        elif same:
+            other = draw(st.sampled_from(same))
+            products[pair] = {other: coefficient} if edit == "retarget" else {label: coefficient, other: 1}
+    return mode, k * degrees[0], basis, products, fundamental
+
+
+def test_generator_check_agrees_with_the_reference():
+    # The check on the generators decides, or returns None and leaves the
+    # ring to the walk over every triple.  Its verdict must be the
+    # reference's, and so must the triple the refusal names.  It must decide
+    # at least a third of the examples and refuse at least five of them
+    # itself, so the walk cannot hide a wrong generator check.
+    verdicts = []
+
+    @settings(max_examples=150)
+    @given(edited_polynomial_rings())
+    def check(case):
+        mode, top, basis, products, fundamental = case
+        expected = first_nonassociative_triple(mode, top, basis, products)
+        verdict = ManifoldRing(mode, top, basis, products, fundamental, verify=False)._associates_through_generators()
+        verdicts.append(verdict)
+        assert verdict in (None, expected is None)
+        if expected is None:
+            ManifoldRing(mode, top, basis, products, fundamental)
+            return
+        with pytest.raises(NonAssociative) as raised:
+            ManifoldRing(mode, top, basis, products, fundamental)
+        x, y, z = expected
+        assert str(raised.value) == f"products of {x!r}, {y!r}, {z!r} do not associate"
+
+    check()
+    assert 3 * (len(verdicts) - verdicts.count(None)) >= len(verdicts)
+    assert verdicts.count(False) >= 5
 
 
 @pytest.mark.parametrize("mode", sorted(SHAPES))

@@ -28,7 +28,9 @@ from jetstrata.gring import (
     truncated_polynomial_ring,
 )
 
+import gen
 import replay
+import tracing
 from conftest import FOUR_MANIFOLD_SPEC, four_manifold_ring
 
 
@@ -192,6 +194,25 @@ def test_triple_slices_match_the_bounded_brute_force(data):
         if degrees[x] + degrees[y] + degrees[z] <= top:
             expected.setdefault((x, y), []).append(z)
     assert list(ring._triple_slices()) == [(x, y, zs) for (x, y), zs in expected.items()]
+    assert ring._bounded_triple_count() == sum(map(len, expected.values()))
+
+
+def test_the_session_ring_triples_are_counted_from_its_degrees():
+    session = gen.session_ring()
+    document = session.presentation(session.monomials[-1])
+    assert make_ring(document)._bounded_triple_count() == tracing.triple_counts(document)[1] == 24_893
+
+
+def test_the_replayed_generator_fault_is_found_on_the_generators():
+    # u*(u*v) gives v^2 in place of u^2*v; u^2*v is still u^2 times v, so the
+    # check runs on u, v and w alone, and fails, before the walk names the
+    # first failing triple.
+    document = replay.edited(replay.RING, replay.REFUSED_RINGS["not associative, found through a generator"])
+    basis = [(entry["label"], entry["degree"]) for entry in document["basis"]]
+    ring = ManifoldRing(document["mode"], document["topDim"], basis, document["products"], document["fundamental"], verify=False)
+    assert ring._associates_through_generators() is False
+    with pytest.raises(NonAssociative, match="^products of 'u', 'u', 'v' do not associate$"):
+        make_ring(document)
 
 
 def test_pairs_without_a_third_factor_count_toward_the_triple_cap(monkeypatch):

@@ -35,6 +35,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import gen  # noqa: E402  (the benchmark's input generator)
+
 SEEDS = (1, 7)
 
 
@@ -42,9 +45,7 @@ def depth3_run() -> dict:
     """The run document of tests/test_filtration.py::depth3_bundles under its
     DEPTH3_SCHEDULE: stages of dimension 32/72/128/200, each the truncated
     polynomial ring on one generator x of degree 4/4/8/20, with a nonzero
-    stage obstruction; ``bench`` must be on the module path."""
-    import gen
-
+    stage obstruction."""
     stages = []
     for top, degree in ((32, 4), (72, 4), (128, 8), (200, 20)):
         ring = gen.TruncPoly(["x"], [degree], top, mod2=False)
@@ -87,6 +88,19 @@ _NON_ASSOCIATIVE = {
               {"label": "c", "degree": 4}, {"label": "t", "degree": 6}],
     "products": [{"a": "a", "b": "a", "result": [_term("c", 1)]}, {"a": "b", "b": "c", "result": [_term("t", 1)]}],
 }
+
+
+def _generator_fault() -> dict:
+    """The mod-2 ring on u, v, w of degrees 1, 2, 3 under top 12, with
+    u*(u*v) retargeted from u^2*v to v^2.  u^2*v is still u^2 times v, so u,
+    v and w are still the only labels no product gives, and the check on
+    them, 876 pairs against 1,048 bounded triples, finds the fault."""
+    ring = gen.TruncPoly(["u", "v", "w"], [1, 2, 3], 12, mod2=True)
+    document = ring.presentation(ring.monomials[-1])
+    next(p for p in document["products"] if (p["a"], p["b"]) == ("u", "u*v"))["result"] = [_term("v^2", 1)]
+    return document
+
+
 # 182 labels of degree 1 under top 3 make 1,021,384 bounded triples, past
 # MAX_ASSOC_TRIPLES = 1,000,000.
 _PAST_THE_TRIPLE_CAP = {
@@ -155,6 +169,7 @@ REFUSED_RINGS = {
     "unit product not the factor": [("products.1", {"a": "1", "b": "x", "result": [_term("x", 2)]})],
     "unit product zero": [("products.1", {"a": "x", "b": "1"})],
     "not associative": [("", _NON_ASSOCIATIVE)],
+    "not associative, found through a generator": [("", _generator_fault())],
     "past the triple cap": [("", _PAST_THE_TRIPLE_CAP)],
     # Several faults.
     "late shape fault, early unknown factor": [("products.0.a", "w"), ("products.2.b", "")],
@@ -216,9 +231,6 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1 or not (Path(argv[0]) / "jetstrata" / "cli.py").is_file():
         print("usage: python3 tools/replay.py SRC", file=sys.stderr)
         return 2
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-    import gen
-
     env = {**os.environ, "PYTHONPATH": str(Path(argv[0]).resolve()), "PYTHONIOENCODING": "utf-8"}
     for seed in SEEDS:
         for name, build in sorted(gen.WORKLOADS.items()):
