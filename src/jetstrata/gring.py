@@ -360,14 +360,15 @@ class ManifoldRing:
                     yield x, y, zs
 
     def _product_rows(self):
-        """``rows[i][j]``, the stored product of positions i and j, the
-        ``get`` of each row, and ``times(terms, z)``, the product of such
-        terms with position z as a normalized term tuple, called like
-        dict.get."""
+        """``rows[i][j]``, the stored product of positions i and j, and
+        ``step(packed)``: for such a product, the callable whose ``(z, ())``
+        is it times position z as a normalized term tuple, called like
+        dict.get.  A product that is one basis element with coefficient 1
+        multiplies by its row."""
         rows: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in self.labels]
         for (i, j), packed in self._table.items():
             rows[i][j] = rows[j][i] = packed
-        normal = self._normal
+        row_gets, normal = [row.get for row in rows], self._normal
 
         def times(terms: tuple[tuple[int, int], ...], z: int, default=()) -> tuple[tuple[int, int], ...]:
             acc: dict[int, int] = {}
@@ -376,11 +377,16 @@ class ManifoldRing:
                     acc[u] = acc.get(u, 0) + c * d
             return tuple(sorted((u, v) for u, v in ((u, normal(v)) for u, v in acc.items()) if v))
 
-        return rows, [row.get for row in rows], times
+        def step(packed: tuple[tuple[int, int], ...]) -> Callable:
+            t, c = packed[0]
+            return row_gets[t] if c == 1 and len(packed) == 1 else partial(times, packed)
 
-    def _associates_through_generators(self) -> bool | None:
+        return rows, step
+
+    def _associates_through_generators(self, triples: int, rows: list, step: Callable) -> bool | None:
         """Whether the ring associates, decided on its generators, or None
-        when that takes more checks than the bounded triples.
+        when that takes more checks than the ring's ``triples`` bounded
+        triples; ``rows`` and ``step`` are those of ``_product_rows``.
 
         Call a label covered when a stored product of two non-unit labels is
         ±1 times it, and let G be the non-unit labels not covered.  The middle
@@ -390,8 +396,11 @@ class ManifoldRing:
         the ring associates exactly when (x*g)*z = x*(g*z) for every g in G
         and non-unit x <= z with deg x + deg g + deg z <= top; above the top
         both sides are zero, and the table is commutative, so (z, x) gives
-        the same equation."""
-        triples = self._bounded_triple_count()
+        the same equation.
+
+        The None is a cost guard, not a speed choice: with it the check
+        never steps more pairs than the walk has triples, and each
+        generator costs its own row and its pairs."""
         degrees, top = self.degrees, self.top_dim
         covered = {packed[0][0] for packed in self._table.values() if len(packed) == 1 and packed[0][1] in (1, -1)}
         histogram, generators, checks = _histogram(self.positions_by_degree), [], 0
@@ -402,17 +411,18 @@ class ManifoldRing:
                 checks += pairs
                 if checks > triples:
                     return None
-        rows, row_gets, times = self._product_rows()
-        slices, zero = _pair_slices(degrees, self.unit_position), {}.get
+        slices, zero, nothing = _pair_slices(degrees, self.unit_position), {}.get, itertools.repeat(())
+        # by_g[x](z, ()) is (g*x)*z, as by[g][x] in _verify_associativity.
+        # One list serves every g: only g's row is set, and reset after.
+        by_g = [zero] * len(degrees)
         for g in generators:
-            # by_g[x](z, ()) is (g*x)*z, as in _verify_associativity.
-            by_g = [zero] * len(degrees)
             for x, packed in rows[g].items():
-                t, c = packed[0]
-                by_g[x] = row_gets[t] if c == 1 and len(packed) == 1 else partial(times, packed)
+                by_g[x] = step(packed)
             for x, zs in slices(top - degrees[g]):
-                if list(map(by_g[x], zs, itertools.repeat(()))) != [by_g[z](x, ()) for z in zs]:
+                if list(map(by_g[x], zs, nothing)) != [by_g[z](x, ()) for z in zs]:
                     return False
+            for x in rows[g]:
+                by_g[x] = zero
         return True
 
     def _verify_associativity(self) -> None:
@@ -421,16 +431,15 @@ class ManifoldRing:
         # Each side is compared as a normalized term tuple, by position.  The
         # walk over every triple runs only when the generators do not decide,
         # and names the first triple that fails.
-        if self._associates_through_generators():
+        triples = self._bounded_triple_count()
+        rows, step = self._product_rows()
+        if self._associates_through_generators(triples, rows, step):
             return
-        _, row_gets, times = self._product_rows()
-        # by[i][j](z, ()) is (i*j)*z, called like dict.get: a product that is
-        # one basis element with coefficient 1 multiplies by its row.
-        by: list[dict[int, Callable]] = [{} for _ in row_gets]
+        # by[i][j](z, ()) is (i*j)*z, called like dict.get.
+        by: list[dict[int, Callable]] = [{} for _ in rows]
         zero = {}.get
         for (i, j), packed in self._table.items():
-            t, c = packed[0]
-            by[i][j] = by[j][i] = row_gets[t] if c == 1 and len(packed) == 1 else partial(times, packed)
+            by[i][j] = by[j][i] = step(packed)
         for x, y, zs in self._triple_slices():
             by_x, by_y = by[x], by[y]
             xy = by_x.get(y, zero)

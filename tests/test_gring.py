@@ -210,7 +210,7 @@ def test_the_replayed_generator_fault_is_found_on_the_generators():
     document = replay.edited(replay.RING, replay.REFUSED_RINGS["not associative, found through a generator"])
     basis = [(entry["label"], entry["degree"]) for entry in document["basis"]]
     ring = ManifoldRing(document["mode"], document["topDim"], basis, document["products"], document["fundamental"], verify=False)
-    assert ring._associates_through_generators() is False
+    assert ring._associates_through_generators(ring._bounded_triple_count(), *ring._product_rows()) is False
     with pytest.raises(NonAssociative, match="^products of 'u', 'u', 'v' do not associate$"):
         make_ring(document)
 
@@ -263,6 +263,23 @@ def test_distinct_degrees_without_triples_build_in_linear_time():
     ring = ManifoldRing("mod2", 3 * n, basis, fundamental="top")
     assert time.perf_counter() - start < 1.0
     assert list(ring._triple_slices()) == []
+
+
+def test_many_product_free_generators_are_checked_in_linear_time():
+    # u^0 .. u^130 and 50,000 product-free labels of degree 128: each label
+    # is a generator with the one pair (u, u) to check, so the 104,160
+    # checks stay under the 111,721 bounded triples and the generators
+    # decide.  Each costs its own empty row and its pair, not a pass over
+    # the 50,131 labels.
+    top, n = 130, 50_000
+    spec = truncated_polynomial_ring("mod2", top, [("u", 1)], fundamental=f"u^{top}").serialize()
+    spec["basis"] += [{"label": f"e{j}", "degree": top - 2} for j in range(n)]
+    basis = [(entry["label"], entry["degree"]) for entry in spec["basis"]]
+    ring = ManifoldRing("mod2", top, basis, spec["products"], spec["fundamental"], verify=False)
+    assert ring._associates_through_generators(ring._bounded_triple_count(), *ring._product_rows()) is True
+    start = time.perf_counter()
+    make_ring(spec)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_distinct_degrees_past_the_cap_are_refused_early():
