@@ -670,54 +670,78 @@ class RingMap:
         return sum((self.images[p] * v for p, v in c.coeffs.items()), self.target.zero())
 
 
-TENSOR_SEPARATOR = "⊗"  # the label glue used by kunneth_product
+TENSOR_SEPARATOR = "⊗"  # the label glue of TensorRing
 
 
 class TensorRing(ManifoldRing):
     """H*(P_0) ⊗ ... ⊗ H*(P_d), the Künneth ring of P_0 × ... × P_d
     (torsion-free or mod-2 coefficients, where the graded sign is 1).
 
-    ``basis`` lists (degree, key, label, factor positions) per position, one
-    factor position per ring in ``factors``, kept as ``factor_positions``: its
-    degree adds the factor degrees, its label joins the factor labels with
-    ``⊗`` and its key is their mixed-radix number, the first factor most
-    significant.  Products are computed factor by factor, so no product table
-    is stored.
+    The basis is the first factor in its own order, then for each further
+    factor the (previous tuple, new position) pairs stably sorted by total
+    degree and then by the previous degree, as iterated binary products
+    would list it.  Each position keeps its tuple of factor positions in
+    ``factor_positions``; its degree adds the factor degrees, its label joins
+    the factor labels with ``⊗`` and its key is their mixed-radix number, the
+    first factor most significant.  The validated factors guarantee every
+    check of the base constructor but distinct labels, so only that one is
+    made.  Products are computed factor by factor, so no product table is
+    stored.
     """
 
-    __slots__ = ("factors", "factor_positions", "_strides", "_steps", "_position_of")
+    __slots__ = ("factors", "factor_positions", "_steps", "_position_of")
 
-    def __init__(self, factors: Sequence[ManifoldRing], basis: Sequence[tuple[int, int, str, tuple[int, ...]]]):
-        self.factors = tuple(factors)
-        self.factor_positions: tuple[tuple[int, ...], ...] = tuple(t for *_, t in basis)
-        sizes = [len(f.labels) for f in self.factors]
-        self._strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
-        self._steps = tuple(zip([f.basis_product for f in self.factors], self._strides))
-        self._position_of = [0] * math.prod(sizes)  # _position_of[key] is the position of the tuple
-        for p, (_, key, _, _) in enumerate(basis):
-            self._position_of[key] = p
-        labels = [label for _, _, label, _ in basis]
-        if len(set(labels)) < len(labels):  # the joins are distinct unless a factor label holds the glue
-            seen: set[str] = set()
-            repeated = next(label for label in labels if label in seen or seen.add(label))
+    def __init__(self, factors: Sequence[ManifoldRing]):
+        if not factors:
+            raise PresentationError("a tensor product needs at least one factor")
+        if any(f.mode is not factors[0].mode for f in factors):
+            raise ModeMismatch("tensor factors must share a coefficient mode")
+        sizes = [len(f.degrees) for f in factors]
+        size = math.prod(sizes)
+        if size > MAX_PRODUCT_BASIS:
+            raise PresentationError(f"tensor product basis of {size} labels exceeds the cap MAX_PRODUCT_BASIS = {MAX_PRODUCT_BASIS}")
+        # One row (degree, key, label, factor positions) per tensor.  The order
+        # comes from degree buckets, not from a sort over the pairs.
+        rows = [(d, a, label, (a,)) for a, (label, d) in enumerate(zip(factors[0].labels, factors[0].degrees))]
+        for factor, n in zip(factors[1:], sizes[1:]):
+            labels, new_by_degree = factor.labels, factor.positions_by_degree
+            by_degree = {}
+            for row in rows:
+                by_degree.setdefault(row[0], []).append(row)
+            rows = [
+                (d + e, key * n + c, label + TENSOR_SEPARATOR + labels[c], t + (c,))
+                for d, e in sorted(itertools.product(by_degree, new_by_degree), key=lambda de: (sum(de), de[0]))
+                for _, key, label, t in by_degree[d]
+                for c in new_by_degree[e]
+            ]
+        self.degrees, keys, self.labels, self.factor_positions = map(tuple, zip(*rows))
+        self.position = dict(zip(self.labels, range(len(rows))))
+        if len(self.position) < len(rows):  # the joins are distinct unless a factor label holds the glue
+            seen = set()
+            repeated = next(label for label in self.labels if label in seen or seen.add(label))
             raise PresentationError(
                 f"tensor basis label {repeated!r} names two tensors: "
                 f"factor labels contain TENSOR_SEPARATOR = {TENSOR_SEPARATOR!r}"
             )
-        # Each factor was checked when it was built, and a tensor product of
-        # associative rings is associative: nothing to verify.
-        super().__init__(
-            self.factors[0].mode,
-            sum(f.top_dim for f in self.factors),
-            [(label, d) for d, _, label, _ in basis],
-            fundamental=labels[self.position_of(f.fundamental_position for f in self.factors)],
-            orientable=all(f.orientable for f in self.factors),
-            verify=False,
-        )
+        self.factors = tuple(factors)
+        self._steps = tuple((f.basis_product, math.prod(sizes[k + 1:])) for k, f in enumerate(factors))
+        self._position_of = [0] * size  # _position_of[key] is the position of the tuple
+        by_degree = {}
+        for p, (key, d) in enumerate(zip(keys, self.degrees)):
+            self._position_of[key] = p
+            by_degree.setdefault(d, []).append(p)
+        self.positions_by_degree = {d: tuple(ps) for d, ps in by_degree.items()}
+        self.mode = factors[0].mode
+        self.top_dim = sum(f.top_dim for f in factors)
+        self.orientable = all(f.orientable for f in factors)
+        self.unit_position = self.position_of(f.unit_position for f in factors)
+        self.fundamental_position = self.position_of(f.fundamental_position for f in factors)
+        # A tensor product of associative rings is associative: nothing to verify.
+        self._table = {}
 
     def position_of(self, factor_positions: Iterable[int]) -> int:
         """The position of the tensor of the given factor positions."""
-        return self._position_of[sum(a * stride for a, stride in zip(factor_positions, self._strides))]
+        return self._position_of[sum(a * stride for a, (_, stride) in zip(factor_positions, self._steps))]
 
     def basis_product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         # A single-term factor product shifts the key and scales; only the
@@ -755,35 +779,11 @@ MAX_PRODUCT_BASIS = 100_000
 
 def kunneth_product(*factors: ManifoldRing) -> tuple:
     """``ring, inject_0, ..., inject_d = kunneth_product(P_0, ..., P_d)``: the
-    tensor ring of one or more rings and the factor injections.
-
-    The basis is the first factor in its own order, then for each further
-    factor the (previous tuple, new position) pairs stably sorted by total
-    degree and then by the previous degree, as iterated binary products
-    would list it: the rows of each previous degree, in order, each with the
-    new positions of each degree, in order.  Injection k sends ``a`` to the
-    tensor with ``a`` in factor k and the unit in every other factor.
+    tensor ring of one or more rings (see ``TensorRing``) and the factor
+    injections.  Injection k sends ``a`` to the tensor with ``a`` in factor k
+    and the unit in every other factor.
     """
-    if not factors:
-        raise PresentationError("a tensor product needs at least one factor")
-    if any(f.mode is not factors[0].mode for f in factors):
-        raise ModeMismatch("tensor factors must share a coefficient mode")
-    size = math.prod(len(f.degrees) for f in factors)
-    if size > MAX_PRODUCT_BASIS:
-        raise PresentationError(f"tensor product basis of {size} labels exceeds the cap MAX_PRODUCT_BASIS = {MAX_PRODUCT_BASIS}")
-    basis = [(d, a, label, (a,)) for a, (label, d) in enumerate(zip(factors[0].labels, factors[0].degrees))]
-    for factor in factors[1:]:
-        n, labels, new_by_degree = len(factor.labels), factor.labels, factor.positions_by_degree
-        by_degree: dict[int, list] = {}
-        for row in basis:
-            by_degree.setdefault(row[0], []).append(row)
-        basis = [
-            (d + e, key * n + c, label + TENSOR_SEPARATOR + labels[c], t + (c,))
-            for d, e in sorted(itertools.product(by_degree, new_by_degree), key=lambda de: (sum(de), de[0]))
-            for _, key, label, t in by_degree[d]
-            for c in new_by_degree[e]
-        ]
-    ring = TensorRing(factors, basis)
+    ring = TensorRing(factors)
     units = [f.unit_position for f in factors]
     return ring, *(
         RingMap(factor, ring, [

@@ -93,13 +93,6 @@ class _InfiniteOrder:
     """Marker for infinite jet order; finite-order arithmetic rejects it, and
     every consumer asks ``is_finite_order`` before comparing an order."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "inf"
 

@@ -422,6 +422,23 @@ def test_ring_mismatch_on_mixed_arithmetic():
         a.basis_element("x") * b.basis_element("x")
 
 
+def test_rings_and_elements_print_hash_and_refuse_other_operands(four_ring):
+    x, x2 = four_ring.basis_element("x"), four_ring.basis_element("x2")
+    assert repr(four_ring) == "ManifoldRing(mode=integer_mod_torsion, top_dim=4, labels=3)"
+    assert repr(four_ring.zero()) == "0"
+    assert repr(2 * x + x2) == "2*x + x2"
+    # Equal elements hash alike; the same coefficients in another ring differ.
+    assert hash(x + x) == hash(2 * x)
+    assert len({x + x, 2 * x, four_manifold_ring().basis_element("x") * 2}) == 2
+    for method in (x.__eq__, x.__add__, x.__sub__):
+        assert method("x") is NotImplemented
+    assert x != "x"
+    with pytest.raises(TypeError):
+        x + 1
+    with pytest.raises(TypeError):
+        x - 1
+
+
 def test_invert_total_class_identity(four_ring):
     assert invert_total_class(four_ring.unit()) == four_ring.unit()
 

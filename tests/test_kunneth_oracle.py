@@ -71,8 +71,9 @@ def materialized_kunneth(left: ManifoldRing, right: ManifoldRing) -> ManifoldRin
 
 def mod2_two_term_ring():
     # a*a has two terms, so products of the tensor ring have up to four.
+    # Not orientable, so neither is any product it is a factor of.
     basis = [("1", 0), ("a", 1), ("s", 2), ("t", 2)]
-    return ManifoldRing("mod2", 2, basis, {("a", "a"): {"s": 1, "t": 1}}, "t")
+    return ManifoldRing("mod2", 2, basis, {("a", "a"): {"s": 1, "t": 1}}, "t", orientable=False)
 
 
 def integer_two_term_ring():
@@ -142,6 +143,7 @@ def oracle_injections(factors) -> list[dict[str, str]]:
 
 CASES = {
     "four-by-four": four_by_four,
+    "one-factor-unsorted": lambda: (unsorted_ring(),),
     "mod2-odd-degrees": mod2_odd_degrees,
     "tensor-of-tensor": tensor_of_tensor,
     "three-mod2-odd-degrees": three_mod2_odd_degrees,
@@ -158,10 +160,16 @@ def case(request):
 
 
 def test_factored_products_match_the_table(case):
+    # The oracle goes through the validating constructor; the tensor ring
+    # fills the same slots from its rows, in the same order.
     product, oracle = case
     assert product.labels == oracle.labels
     assert product.degrees == oracle.degrees
     assert product.fundamental_position == oracle.fundamental_position
+    assert product.unit_position == oracle.unit_position
+    assert list(product.positions_by_degree.items()) == list(oracle.positions_by_degree.items())
+    assert list(product.position.items()) == list(oracle.position.items())
+    assert (product.mode, product.top_dim, product.orientable) == (oracle.mode, oracle.top_dim, oracle.orientable)
     # Equal label tuples, so equal positions name equal labels.
     for i, j in itertools.product(range(len(product.labels)), repeat=2):
         assert product.basis_product(i, j) == oracle.basis_product(i, j), (product.labels[i], product.labels[j])
@@ -307,6 +315,20 @@ def test_carried_rows_match_the_factors(name):
         assert ring.position_of(t) == p
         assert ring.labels[p] == TENSOR_SEPARATOR.join(f.labels[a] for f, a in zip(factors, t))
         assert ring.degrees[p] == sum(f.degrees[a] for f, a in zip(factors, t))
+
+
+@pytest.mark.parametrize("name", sorted({*CASES, *CARRIED}))
+def test_tensor_ring_is_built_without_the_base_constructor(name, monkeypatch):
+    # The factors are validated; the tensor ring fills every slot itself.
+    factors = {**CASES, **CARRIED}[name]()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ManifoldRing.__init__ ran for a tensor ring")
+
+    monkeypatch.setattr(ManifoldRing, "__init__", refuse)
+    ring, *_ = kunneth_product(*factors)
+    unset = [slot for slot in (*ManifoldRing.__slots__, *TensorRing.__slots__) if not hasattr(ring, slot)]
+    assert unset == []
 
 
 # The top dimensions a drawn factor may have, and the most all factors may

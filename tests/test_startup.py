@@ -104,6 +104,12 @@ def test_submodules_resolve_after_importing_the_package_and_unknown_names_do_not
         exec("from jetstrata import no_such_name", {})
 
 
+def test_dir_lists_every_public_name_once_in_order():
+    names = dir(jetstrata)
+    assert set(jetstrata.__all__) <= set(names)
+    assert names == sorted(set(names))
+
+
 def tracer_targets():
     """``TARGETS`` of the traced benchmark, read from its source."""
     tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))

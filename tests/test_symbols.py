@@ -51,6 +51,17 @@ def test_symbol_must_be_nonempty_and_nonnegative():
         BoardmanSymbol((2, -1))
 
 
+def test_symbols_read_as_sequences_and_compare_only_with_their_own_type():
+    symbol = BoardmanSymbol((2, 1, 0))
+    assert list(symbol) == [2, 1, 0]
+    assert (symbol[0], symbol[-1], symbol[1:]) == (2, 0, (1, 0))
+    # A record of another type is not equal, whatever its fields.
+    assert symbol.__eq__(JetContext(2, 1, 1)) is NotImplemented
+    assert symbol != (2, 1, 0)
+    assert repr(INFINITE_ORDER) == "inf"
+    assert repr(JetContext(1, 5, INFINITE_ORDER)) == "JetContext(n=1, p=5, k=inf)"
+
+
 def test_jet_context_invariants():
     with pytest.raises(SymbolError):
         JetContext(0, 3)
