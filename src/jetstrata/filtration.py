@@ -146,8 +146,6 @@ def build_run(depth: int, schedule, stage_bundles) -> FiltrationRun:
         )
 
     product_ring, *injections = kunneth_product(*(s.ring for s in stages))
-    if product_ring.top_dim != sum(s.dim for s in stages):
-        raise ConsistencyError("product dimension differs from the sum of stage dimensions")
     return FiltrationRun(depth, schedule, tuple(stages), product_ring, tuple(injections))
 
 

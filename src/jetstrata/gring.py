@@ -630,10 +630,10 @@ class RingMap:
     """Degree-preserving, unit-preserving, multiplicative map between rings.
 
     ``images`` holds one target element per source basis position, the
-    unit's included.
-    Multiplicativity is verified at construction on the basis pairs at or
-    below the target's top degree: images keep their degree and no product
-    lives above a top, so above it both sides are zero.
+    unit's included.  The constructor checks all three, multiplicativity on
+    the basis pairs at or below the target's top degree: images keep their
+    degree and no product lives above a top, so above it both sides are
+    zero.  ``kunneth_product`` builds its injections without it.
     """
 
     def __init__(self, source: ManifoldRing, target: ManifoldRing, images: Sequence[GradedElement]):
@@ -781,17 +781,19 @@ def kunneth_product(*factors: ManifoldRing) -> tuple:
     """``ring, inject_0, ..., inject_d = kunneth_product(P_0, ..., P_d)``: the
     tensor ring of one or more rings (see ``TensorRing``) and the factor
     injections.  Injection k sends ``a`` to the tensor with ``a`` in factor k
-    and the unit in every other factor.
+    and the unit in every other factor, with coefficient 1: it keeps degree
+    and unit, and it is multiplicative as ``basis_product`` works factor by
+    factor.  The tests, not the ``RingMap`` constructor, check it.
     """
     ring = TensorRing(factors)
     units = [f.unit_position for f in factors]
-    return ring, *(
-        RingMap(factor, ring, [
+    injections = [RingMap.__new__(RingMap) for _ in factors]
+    for k, (factor, inject) in enumerate(zip(factors, injections)):
+        inject.source, inject.target, inject.images = factor, ring, tuple(
             GradedElement(ring, {ring.position_of(units[:k] + [a] + units[k + 1:]): 1})
             for a in range(len(factor.degrees))
-        ])
-        for k, factor in enumerate(factors)
-    )
+        )
+    return ring, *injections
 
 
 def tensor_component(c: GradedElement, *degrees: int) -> GradedElement:

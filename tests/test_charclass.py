@@ -11,6 +11,7 @@ from jetstrata.charclass import (
     ModeMismatch,
     NegativeSize,
     NotSquare,
+    ObstructionClass,
     ParityError,
     UnsupportedDimension,
     VirtualBundle,
@@ -23,7 +24,7 @@ from jetstrata.charclass import (
 )
 from jetstrata.gring import NotAUnit, RingMismatch, truncated_polynomial_ring
 from jetstrata.selfcheck import leibniz_det
-from jetstrata.symbols import JetContext
+from jetstrata.symbols import ConsistencyError, JetContext
 
 from conftest import four_manifold_ring
 
@@ -359,3 +360,10 @@ def test_obstruction_homogeneity_small_grid():
                 obstruction = porteous_sw(i, JetContext(n, p, 9), bundle)
                 assert obstruction.expected_degree == size * i
                 assert obstruction.value.is_homogeneous(size * i)
+
+
+def test_a_non_homogeneous_obstruction_class_is_an_internal_inconsistency(four_ring):
+    value = four_ring.element({"1": 1, "x": 2})
+    message = r"^obstruction class is not homogeneous of degree 2: components in degrees \(0, 2\)$"
+    with pytest.raises(ConsistencyError, match=message):
+        ObstructionClass(value, 1, 2, ClassVariant.PONTRJAGIN)

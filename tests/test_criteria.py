@@ -6,6 +6,7 @@ from jetstrata import criteria
 from jetstrata.charclass import VirtualBundle
 from jetstrata.criteria import (
     BadInput,
+    CriterionReport,
     ESTABLISHED,
     INCONCLUSIVE,
     NOT_ESTABLISHED,
@@ -21,7 +22,7 @@ from jetstrata.gring import (
     RingMap,
     truncated_polynomial_ring,
 )
-from jetstrata.symbols import INFINITE_ORDER
+from jetstrata.symbols import INFINITE_ORDER, ConsistencyError
 
 
 def test_nonstable_established():
@@ -116,6 +117,27 @@ def test_stabilized_finds_smallest_shift():
     assert report.lhs == 9
     assert report.rhs == 9
     assert report.k_required == 10
+
+
+def test_a_failed_equal_dimension_simplification_is_an_internal_inconsistency(monkeypatch):
+    lhs = criteria._inclusion_lhs
+    monkeypatch.setattr(criteria, "_inclusion_lhs", lambda n, p, i: lhs(n, p, i) + 1)
+    with pytest.raises(ConsistencyError, match="^equal-dimension simplification of the inclusion bound failed$"):
+        w_inclusion(8, 8, 3, 1, INFINITE_ORDER)
+
+
+def test_a_shift_that_does_not_establish_the_inclusion_is_an_internal_inconsistency(monkeypatch):
+    # Every report reads not established, so the shift read off in closed
+    # form (m = 12 here) fails its own replay.
+    direct = criteria.w_inclusion
+
+    def never_established(*args):
+        report = direct(*args)
+        return CriterionReport(NOT_ESTABLISHED, report.lhs, report.rhs, report.k_required, 0, "")
+
+    monkeypatch.setattr(criteria, "w_inclusion", never_established)
+    with pytest.raises(ConsistencyError, match="^the smallest working shift m=12 does not establish the inclusion$"):
+        stabilized_w_inclusion(20, 20, 3, 1, 100)
 
 
 def test_stabilized_rank_above_source():

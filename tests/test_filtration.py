@@ -1,9 +1,9 @@
-import itertools
 import time
+from pathlib import Path
 
 import pytest
 
-from jetstrata import criteria, selfcheck
+from jetstrata import cli, criteria, filtration, selfcheck
 from jetstrata.charclass import ObstructionClass, VirtualBundle, class_of_virtual, porteous_pontrjagin
 from jetstrata.filtration import (
     DimensionMismatch,
@@ -19,17 +19,17 @@ from jetstrata.filtration import (
     product_obstruction,
 )
 from jetstrata.gring import (
-    ManifoldRing,
     ModeMismatch,
     RingMap,
     RingMismatch,
+    TensorRing,
     element_to_spec,
     kunneth_product,
     make_ring,
     tensor_component,
     truncated_polynomial_ring,
 )
-from jetstrata.symbols import INFINITE_ORDER, BoardmanSymbol, JetContext
+from jetstrata.symbols import INFINITE_ORDER, BoardmanSymbol, ConsistencyError, JetContext
 
 import replay
 from conftest import ring_map_from_generators
@@ -227,39 +227,45 @@ def test_depth3_run_on_31977_labels_is_quick():
     assert elapsed < 10.0
 
 
-def test_each_run_injection_is_checked_once(monkeypatch):
-    # The maps whose multiplicativity build_run checks are exactly the run's
-    # injections, one per stage, each over every pair of its stage basis.
-    # During a check the ring class records every basis product it is asked
-    # for as (ring, i, j); the tensor ring computes its own products through
-    # factor methods bound before the checks, so only the source's are seen.
-    checked, pairs = [], {}
-    check, product = RingMap._verify_multiplicative, ManifoldRing.basis_product
-
-    def counting(self):
-        checked.append(self)
-        seen = pairs[id(self)] = set()
-
-        def recording(ring, i, j):
-            seen.add((id(ring), i, j))
-            return product(ring, i, j)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(ManifoldRing, "basis_product", recording)
-            check(self)
-
-    monkeypatch.setattr(RingMap, "_verify_multiplicative", counting)
+def test_each_run_injection_passes_the_map_checks():
+    # kunneth_product sets the injections' slots itself; the unchanged
+    # RingMap constructor checks here what it would check on them: image
+    # count, ring, degree, unit and multiplicativity.
     stage0 = chain_bundle(32, {1: 1, 2: 1}, gen="t")
     stage1 = chain_bundle(72, {1: 1, 3: 1}, gen="s")
     stage2 = chain_bundle(72, {1: 2, 3: 1}, gen="u")
     run = build_run(2, [8, 9, 10, 11], [stage0, stage1, stage2])
     assert len(run.injections) == 3
-    assert [id(m) for m in checked] == [id(m) for m in run.injections]
     for stage, inject in zip(run.stages, run.injections):
         assert inject.source is stage.ring and inject.target is run.product_ring
-        nonunit = [p for p in range(len(stage.ring.labels)) if p != stage.ring.unit_position]
-        expected = {(id(stage.ring), i, j) for i, j in itertools.combinations_with_replacement(nonunit, 2)}
-        assert pairs[id(inject)] == expected
+        RingMap(inject.source, inject.target, inject.images)
+
+
+def test_a_stage_index_failing_its_inequality_is_an_internal_inconsistency(monkeypatch):
+    # Index 2 fits the dimension 32 = 8*2^2 but clears budgets only up to 8.
+    monkeypatch.setattr(filtration, "next_index", lambda budget: 2)
+    with pytest.raises(ConsistencyError, match="^stage index fails its own defining inequality$"):
+        build_run(0, [100, 101], [chain_bundle(32, {1: 1, 2: 1})])
+
+
+def test_a_product_obstruction_off_the_injected_stage_class_is_an_internal_inconsistency(monkeypatch, capsys):
+    # The class computed on the product ring is replaced by zero, while the
+    # stage classes, computed on the stage rings, stay nonzero.
+    porteous = filtration.porteous_pontrjagin
+
+    def zero_on_products(rank, context, bundle):
+        obstruction = porteous(rank, context, bundle)
+        if not isinstance(bundle.ring, TensorRing):
+            return obstruction
+        return ObstructionClass(bundle.ring.zero(), rank, obstruction.expected_degree, obstruction.variant)
+
+    monkeypatch.setattr(filtration, "porteous_pontrjagin", zero_on_products)
+    message = "product obstruction differs from the injected stage obstruction"
+    run = build_run(0, [8, 9], [chain_bundle(32, {1: 1, 2: 1})])
+    with pytest.raises(ConsistencyError, match=f"^{message}$"):
+        product_obstruction(run, 0)
+    status = cli.main(["filtration", "run", "--spec", str(Path(__file__).parent / "data" / "filtration_depth2_run.json")])
+    assert (status, *capsys.readouterr()) == (1, "", f"internal inconsistency: {message}\n")
 
 
 def test_product_obstruction_stage_out_of_range():

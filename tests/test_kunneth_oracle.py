@@ -23,6 +23,7 @@ from jetstrata.gring import (
     TENSOR_SEPARATOR,
     ManifoldRing,
     PresentationError,
+    RingMap,
     TensorRing,
     element_to_spec,
     kunneth_product,
@@ -319,16 +320,32 @@ def test_carried_rows_match_the_factors(name):
 
 @pytest.mark.parametrize("name", sorted({*CASES, *CARRIED}))
 def test_tensor_ring_is_built_without_the_base_constructor(name, monkeypatch):
-    # The factors are validated; the tensor ring fills every slot itself.
+    # The factors are validated; the tensor ring fills every slot itself,
+    # and so does kunneth_product for each injection.
     factors = {**CASES, **CARRIED}[name]()
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("ManifoldRing.__init__ ran for a tensor ring")
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__}.__init__ ran in kunneth_product")
 
     monkeypatch.setattr(ManifoldRing, "__init__", refuse)
-    ring, *_ = kunneth_product(*factors)
+    monkeypatch.setattr(RingMap, "__init__", refuse)
+    ring, *injections = kunneth_product(*factors)
     unset = [slot for slot in (*ManifoldRing.__slots__, *TensorRing.__slots__) if not hasattr(ring, slot)]
     assert unset == []
+    assert len(injections) == len(factors)
+    for factor, inject in zip(factors, injections):
+        assert inject.source is factor and inject.target is ring
+        assert len(inject.images) == len(factor.degrees)
+
+
+@pytest.mark.parametrize("name", sorted({*CASES, *CARRIED}))
+def test_injections_pass_the_map_checks(name):
+    # What the RingMap constructor would check on each injection, unchanged:
+    # image count, ring, degree, unit and multiplicativity.
+    factors = {**CASES, **CARRIED}[name]()
+    _, *injections = kunneth_product(*factors)
+    for inject in injections:
+        RingMap(inject.source, inject.target, inject.images)
 
 
 # The top dimensions a drawn factor may have, and the most all factors may
@@ -374,6 +391,7 @@ def test_kunneth_product_matches_the_iterated_oracle(count, data):
         assert {product.labels[p] for p in tensor_component(everything, *degrees).coeffs} == expected
     for factor, inject, expected in zip(factors, injections, oracle_injections(factors), strict=True):
         assert inject.source is factor and inject.target is product
+        RingMap(inject.source, inject.target, inject.images)
         for label in factor.labels:
             image = inject(factor.basis_element(label))
             assert element_to_spec(image) == element_to_spec(oracle.basis_element(expected[label]))
