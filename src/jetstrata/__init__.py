@@ -17,8 +17,9 @@ __version__ = "0.1.0"
 _NAMES = {
     "symbols": "INFINITE_ORDER BoardmanSymbol JetContext codim_lower_bound first_order_codim jet_fiber_dim "
     "tail_vanishing truncate_symbol validate_symbol",
-    "gring": "CoefficientMode GradedElement ManifoldRing RingMap invert_total_class is_degreewise_injective "
-    "kunneth_product make_ring pair_fundamental tensor_component truncated_polynomial_ring",
+    "gring": "CoefficientMode GradedElement ManifoldRing invert_total_class kunneth_product make_ring "
+    "pair_fundamental",
+    "tensor": "RingMap is_degreewise_injective tensor_component truncated_polynomial_ring",
     "charclass": "ClassVariant ObstructionClass VirtualBundle class_of_virtual det_graded porteous_pontrjagin "
     "porteous_sw w_table_polynomial",
     "criteria": "CriterionReport NonexistenceReport nonexistence_verdict nonstable_inclusion stabilized_w_inclusion "

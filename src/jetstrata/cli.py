@@ -14,7 +14,7 @@ import argparse
 import gc
 import json
 import sys
-from itertools import repeat
+from itertools import islice, repeat
 from json.encoder import encode_basestring
 
 from . import symbols
@@ -69,10 +69,17 @@ def _report(command: str, inputs: dict, intermediates: dict, verdict, citations:
     }
 
 
+#: Product entries of an echoed ring per piece of the report text: the text
+#: is written piece by piece, and never joined whole.
+_CHUNK_ENTRIES = 256
+
+
 def _emit(report: dict, out_path: str | None) -> None:
     """Write ``json.dumps(report, indent=2, sort_keys=True,
-    ensure_ascii=False)`` and a newline, in one write; a ring is written as
-    its document ``ring.serialize()``."""
+    ensure_ascii=False)`` and a newline; a ring is written as its document
+    ``ring.serialize()``.  The text is written in pieces, and only once every
+    piece encodes: a report that cannot be encoded writes nothing, creates
+    no ``out_path`` and fails as the whole text would, naming its position."""
     # A report can hold a ring only once the ring engine is loaded; before
     # that, the empty tuple is a ring type no value is an instance of.
     gring = sys.modules.get(f"{__package__}.gring")
@@ -83,12 +90,20 @@ def _emit(report: dict, out_path: str | None) -> None:
         limit = sys.get_int_max_str_digits()
         raise ValueError(f"report integer has more than {limit} digits, the limit for printing an integer") from None
     pieces.append("\n")
-    text = "".join(pieces)
+    # A text stream without an encoding, such as io.StringIO, takes any text.
+    encoding, errors = ("utf-8", "strict") if out_path else (sys.stdout.encoding, sys.stdout.errors)
+    if encoding:
+        try:
+            for piece in pieces:
+                piece.encode(encoding, errors)
+        except UnicodeEncodeError:
+            "".join(pieces).encode(encoding, errors)  # raises the whole text's error
+            raise
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _holds_ring(value, ring_type) -> bool:
@@ -107,7 +122,7 @@ def _encode(value, depth: int, leads: list[str], pieces: list[str], ring_type) -
     from its table, a container that holds one item by item, and any other
     value as the encoder's own indent=2 text."""
     if isinstance(value, ring_type):
-        pieces.append(_ring_text(value, depth, leads))
+        _ring_text(value, depth, leads, pieces)
     elif isinstance(value, (dict, list)) and _holds_ring(value, ring_type):
         if len(leads) <= depth + 1:
             leads.append(leads[-1] + "  ")
@@ -126,11 +141,12 @@ def _encode(value, depth: int, leads: list[str], pieces: list[str], ring_type) -
         pieces.append(json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False).replace("\n", leads[depth]))
 
 
-def _ring_text(ring: gring.ManifoldRing, depth: int, leads: list[str]) -> str:
-    """The indent=2 text of ``ring.serialize()`` at ``depth``.  Each label is
-    encoded once, into the text of each place it can take; the products are
-    read off the table.  Integers are written by ``int.__repr__``, as the
-    encoder writes them."""
+def _ring_text(ring: gring.ManifoldRing, depth: int, leads: list[str], pieces: list[str]) -> None:
+    """Append the indent=2 text of ``ring.serialize()`` at ``depth`` to
+    ``pieces``, the product entries ``_CHUNK_ENTRIES`` to a piece.  Each
+    label is encoded once, into the text of each place it can take; the
+    products are read off the table.  Integers are written by
+    ``int.__repr__``, as the encoder writes them."""
     while len(leads) <= depth + 5:
         leads.append(leads[-1] + "  ")
     l0, l1, l2, l3, l4, l5 = leads[depth:depth + 6]
@@ -144,21 +160,30 @@ def _ring_text(ring: gring.ManifoldRing, depth: int, leads: list[str]) -> str:
     unit_terms = [f'{l4}{{{l5}"coeff": 1,{l5}"label": {label}{l4}}}' for label in labels]
     term = f'{l4}{{{l5}"coeff": %s,{l5}"label": %s{l4}}}'
     close = f"{l3}]{l2}}}"
-    products = f",{l2}".join([
+    products = (
         first[i] + second[j] + (
             unit_terms[packed[0][0]] if len(packed) == 1 and packed[0][1] == 1  # the most common product
             else ",".join([unit_terms[t] if c == 1 else term % (int.__repr__(c), labels[t]) for t, c in packed])
         ) + close
         for (i, j), packed in ring._product_entries()
-    ])
-    return "".join([
-        f'{{{l1}"basis": [{l2}{basis}{l1}],',
-        f'{l1}"fundamental": {labels[ring.fundamental_position]},',
-        f'{l1}"mode": {encode_basestring(ring.mode.value)},',
-        f'{l1}"orientable": {"true" if ring.orientable else "false"},',
-        f'{l1}"products": [{l2}{products}{l1}],' if products else f'{l1}"products": [],',
-        f'{l1}"topDim": {int.__repr__(ring.top_dim)}{l0}}}',
-    ])
+    )
+    pieces.append(
+        f'{{{l1}"basis": [{l2}{basis}{l1}],'
+        f'{l1}"fundamental": {labels[ring.fundamental_position]},'
+        f'{l1}"mode": {encode_basestring(ring.mode.value)},'
+        f'{l1}"orientable": {"true" if ring.orientable else "false"},'
+    )
+    separator = f",{l2}"
+    chunks = iter(lambda: separator.join(islice(products, _CHUNK_ENTRIES)), "")
+    chunk = next(chunks, "")
+    if chunk:
+        pieces += (f'{l1}"products": [{l2}', chunk)
+        for chunk in chunks:
+            pieces += (separator, chunk)
+        pieces.append(f"{l1}],")
+    else:
+        pieces.append(f'{l1}"products": [],')
+    pieces.append(f'{l1}"topDim": {int.__repr__(ring.top_dim)}{l0}}}')
 
 
 def _criterion_dict(report: criteria.CriterionReport) -> dict:

@@ -15,17 +15,14 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
+from typing import TYPE_CHECKING
 
 from .charclass import ObstructionClass, VirtualBundle, porteous_pontrjagin
-from .gring import (
-    CoefficientMode,
-    GradedElement,
-    ModeMismatch,
-    RingMap,
-    RingMismatch,
-    kunneth_product,
-)
+from .gring import CoefficientMode, GradedElement, ModeMismatch, RingMismatch, kunneth_product
 from .symbols import ConsistencyError, JetContext, Record, is_integer
+
+if TYPE_CHECKING:
+    from .tensor import RingMap
 
 
 class FiltrationError(ValueError):
@@ -89,7 +86,23 @@ class FiltrationStage(Record):
 
 
 class FiltrationRun(Record):
-    __slots__ = ("depth", "schedule", "stages", "product_ring", "injections")
+    """A run: its depth, schedule, stages, product ring and factor
+    injections.  Its last field, left out of equality, is the product of
+    every injected stage positive total, which every product obstruction
+    shares; it is built here unless given."""
+
+    __slots__ = ("depth", "schedule", "stages", "product_ring", "injections", "total_positive")
+    _hidden = ("total_positive",)
+
+    def __init__(
+        self, depth: int, schedule: tuple, stages: tuple, product_ring, injections: tuple,
+        total_positive: GradedElement | None = None,
+    ):
+        if total_positive is None:
+            total_positive = product_ring.unit()
+            for stage, inject in zip(stages, injections):
+                total_positive = total_positive * inject(stage.bundle.total_positive)
+        super().__init__(depth, schedule, stages, product_ring, injections, total_positive)
 
 
 def build_run(depth: int, schedule, stage_bundles) -> FiltrationRun:
@@ -154,22 +167,20 @@ def product_obstruction(run: FiltrationRun, t: int) -> ObstructionClass:
 
     The difference bundle on the product has every non-t factor cancelling,
     so its totals are the products of all injected stage totals with only the
-    t-th negative total swapped in.  The resulting determinant class must
-    equal the injection of the stage obstruction; any disagreement is an
-    internal inconsistency.
+    t-th negative total swapped in; the positive one is the run's own.  The
+    resulting determinant class must equal the injection of the stage
+    obstruction; any disagreement is an internal inconsistency.
     """
     if not is_integer(t) or t < 0 or t > run.depth:
         raise StageOutOfRange(f"stage {t} outside 0..{run.depth}")
     ring = run.product_ring
-    total_positive = ring.unit()
     total_negative = ring.unit()
     for stage, inject in zip(run.stages, run.injections):
-        total_positive = total_positive * inject(stage.bundle.total_positive)
         if stage.t == t:
             total_negative = total_negative * inject(stage.bundle.total_negative_pulled)
         else:
             total_negative = total_negative * inject(stage.bundle.total_positive)
-    bundle = VirtualBundle(total_positive, total_negative)
+    bundle = VirtualBundle(run.total_positive, total_negative)
     stage = run.stages[t]
     obstruction = porteous_pontrjagin(stage.kernel_rank, JetContext(ring.top_dim, ring.top_dim), bundle)
     pulled = run.injections[t](stage.obstruction.value)

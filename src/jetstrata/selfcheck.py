@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 
-from . import charclass, criteria, filtration, gring, symbols
+from . import charclass, criteria, filtration, gring, symbols, tensor
 
 
 class CheckResult(symbols.Record):
@@ -88,7 +88,7 @@ def check_kunneth_identities():
     if paired != gring.pair_fundamental(a) * gring.pair_fundamental(b):
         return "top-degree pairing does not factor"
     for inject in (inject_left, inject_right):
-        if not gring.is_degreewise_injective(inject):
+        if not tensor.is_degreewise_injective(inject):
             return "factor injection loses rank in some degree"
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from jetstrata import gring
+from jetstrata import gring, tensor
 
 # Property tests draw the same examples on every run, so a failure
 # reproduces from its test name; examples are bounded by count, not time.
@@ -36,12 +36,12 @@ def four_ring():
 def mod2_chain():
     # One generator per degree through powers of a degree-1 class; big enough
     # for every determinant degree reachable with n, p <= 12.
-    return gring.truncated_polynomial_ring("mod2", 144, [("w", 1)])
+    return tensor.truncated_polynomial_ring("mod2", 144, [("w", 1)])
 
 
 @pytest.fixture(scope="session")
 def int_chain():
-    return gring.truncated_polynomial_ring("integer_mod_torsion", 144, [("t", 4)])
+    return tensor.truncated_polynomial_ring("integer_mod_torsion", 144, [("t", 4)])
 
 
 def ring_map_from_generators(source, target, images_by_gen):
@@ -57,4 +57,4 @@ def ring_map_from_generators(source, target, images_by_gen):
                 for _ in range(int(exponent or 1)):
                     element = element * images_by_gen[name]
         images.append(element)
-    return gring.RingMap(source, target, images)
+    return tensor.RingMap(source, target, images)

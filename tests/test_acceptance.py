@@ -25,10 +25,7 @@ from jetstrata.criteria import (
     w_inclusion,
 )
 from jetstrata.filtration import double_construction, next_index
-from jetstrata.gring import (
-    invert_total_class,
-    truncated_polynomial_ring,
-)
+from jetstrata.gring import invert_total_class
 from jetstrata.selfcheck import leibniz_det
 from jetstrata.symbols import (
     INFINITE_ORDER,
@@ -36,6 +33,7 @@ from jetstrata.symbols import (
     JetContext,
     codim_lower_bound,
 )
+from jetstrata.tensor import truncated_polynomial_ring
 
 from conftest import four_manifold_ring, ring_map_from_generators
 
@@ -219,7 +217,7 @@ def _product_scenario(q, mix_degree_8):
 
 
 def test_criterion_7_product_decomposition_identity():
-    from jetstrata.gring import tensor_component
+    from jetstrata.tensor import tensor_component
 
     def body():
         for q in (1, 2, 3, 4):

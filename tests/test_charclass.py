@@ -22,9 +22,10 @@ from jetstrata.charclass import (
     porteous_sw,
     w_table_polynomial,
 )
-from jetstrata.gring import NotAUnit, RingMismatch, truncated_polynomial_ring
+from jetstrata.gring import NotAUnit, RingMismatch
 from jetstrata.selfcheck import leibniz_det
 from jetstrata.symbols import ConsistencyError, JetContext
+from jetstrata.tensor import truncated_polynomial_ring
 
 from conftest import four_manifold_ring
 

@@ -28,8 +28,9 @@ from hypothesis import strategies as st
 
 from jetstrata.charclass import det_graded
 from jetstrata.gring import (
-    ManifoldRing, NonAssociative, PresentationError, RingMap, _rank, invert_total_class, truncated_polynomial_ring,
+    ManifoldRing, NonAssociative, PresentationError, invert_total_class,
 )
+from jetstrata.tensor import RingMap, _rank, truncated_polynomial_ring
 
 from test_degree_bound import totals
 

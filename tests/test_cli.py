@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from jetstrata import charclass, cli, filtration, gring, symbols
+from jetstrata import charclass, cli, filtration, gring, symbols, tensor
 from jetstrata.selfcheck import check_determinant_oracle, check_ring_fixture
 
 from conftest import FOUR_MANIFOLD_SPEC
@@ -959,9 +959,9 @@ def test_the_cyclic_garbage_of_a_command_does_not_grow_with_its_ring(tmp_path):
     )
     counts = []
     for name, ring, dim in [
-        ("small", gring.truncated_polynomial_ring("mod2", 7, [("w", 1)]), 7),
-        ("session", gring.truncated_polynomial_ring("mod2", 18, [("a", 1), ("b", 2), ("c", 3), ("d", 4)],
-                                                    fundamental="a^18"), 18),
+        ("small", tensor.truncated_polynomial_ring("mod2", 7, [("w", 1)]), 7),
+        ("session", tensor.truncated_polynomial_ring("mod2", 18, [("a", 1), ("b", 2), ("c", 3), ("d", 4)],
+                                                     fundamental="a^18"), 18),
     ]:
         ring_path, bundle_path = tmp_path / f"{name}-ring.json", tmp_path / f"{name}-bundle.json"
         write_json(ring_path, ring.serialize())

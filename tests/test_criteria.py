@@ -17,12 +17,9 @@ from jetstrata.criteria import (
     w_inclusion,
 )
 from jetstrata.filtration import double_construction
-from jetstrata.gring import (
-    ModeMismatch,
-    RingMap,
-    truncated_polynomial_ring,
-)
+from jetstrata.gring import ModeMismatch
 from jetstrata.symbols import INFINITE_ORDER, ConsistencyError
+from jetstrata.tensor import RingMap, truncated_polynomial_ring
 
 
 def test_nonstable_established():

@@ -12,8 +12,9 @@ from hypothesis import assume, given, settings, strategies as st
 from jetstrata import charclass
 from jetstrata.charclass import VirtualBundle, porteous_pontrjagin, porteous_sw, w_table_polynomial
 from jetstrata.filtration import build_run, product_obstruction
-from jetstrata.gring import CoefficientMode, GradedElement, invert_total_class, truncated_polynomial_ring
+from jetstrata.gring import CoefficientMode, GradedElement, invert_total_class
 from jetstrata.symbols import INFINITE_ORDER, JetContext
+from jetstrata.tensor import truncated_polynomial_ring
 
 
 @st.composite

@@ -2,19 +2,23 @@
 
 Its bytes are exactly ``json.dumps(report, indent=2, sort_keys=True,
 ensure_ascii=False) + "\\n"`` for any JSON value, with or without echoed
-rings, and a report that cannot be written fails as that one-shot text
-would: in one write, naming the same position, writing nothing.
+rings, however many pieces an echoed ring's products take.  The text is
+written piece by piece and never joined whole, but only once every piece
+encodes: a report that cannot be encoded writes nothing, not even an empty
+``--out`` file, and fails as the one-shot text would, naming the same
+position.
 """
 
 import contextlib
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetstrata import cli, gring
+from jetstrata import cli, gring, tensor
 
 from test_check_oracles import SHAPES, twisted_rings
 from test_cli import run_cli, write_json
@@ -83,7 +87,7 @@ def test_unencodable_report_fails_as_the_one_shot_text(capsys, tmp_path, at):
     # A lone surrogate is a legal JSON label but cannot be written as UTF-8;
     # it ends a label of the echoed ring, which is written from the ring's
     # table, ``at`` characters into the label and so past ``at`` in the report.
-    spec = gring.truncated_polynomial_ring("mod2", 8, [("w", 1)]).serialize()
+    spec = tensor.truncated_polynomial_ring("mod2", 8, [("w", 1)]).serialize()
     ring_path, bundle_path = tmp_path / "ring.json", tmp_path / "bundle.json"
     write_json(ring_path, json.loads(json.dumps(spec).replace('"w^4"', json.dumps("w" * at + "\ud800"))))
     write_json(bundle_path, {"totalPositive": [{"label": "1", "coeff": 1}], "totalNegativePulled": [{"label": "1", "coeff": 1}]})
@@ -95,6 +99,52 @@ def test_unencodable_report_fails_as_the_one_shot_text(capsys, tmp_path, at):
     with pytest.raises(UnicodeEncodeError) as raised:
         indented(report).encode("utf-8")
     assert run_cli(capsys, *argv) == (2, "", f"UnicodeEncodeError: {raised.value}\n")
+
+
+def products_ring(count):
+    """A mod-2 ring with ``count`` nonzero products: the first ``count``
+    pairs of degree-1 labels each multiply to the top label."""
+    size = next(m for m in range(count + 1) if m * (m + 1) // 2 >= count)
+    labels = [f"x{n}" for n in range(size)]
+    pairs = [(a, b) for n, a in enumerate(labels) for b in labels[n:]][:count]
+    basis = [("1", 0), *((label, 1) for label in labels), ("t", 2)]
+    return gring.ManifoldRing("mod2", 2, basis, {pair: {"t": 1} for pair in pairs})
+
+
+@pytest.mark.parametrize("count", [cli._CHUNK_ENTRIES, cli._CHUNK_ENTRIES + 1])
+def test_products_of_one_chunk_and_one_entry_past_it_match_indented_json_dumps(count):
+    ring = products_ring(count)
+    assert len(ring.serialize()["products"]) == count
+    # Twice, so that the text after a chunked ring is checked too.
+    report = {"first": ring, "second": [ring, "end"]}
+    assert emitted(report) == indented(report)
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_a_report_unencodable_past_the_first_chunk_writes_nothing(capsys, tmp_path, to_file):
+    # A depth-1 run whose first stage ring has two chunks of products, and
+    # whose second stage ring has a label ending in a lone surrogate: the
+    # report's text fails to encode only past the first ring's first chunk.
+    run = json.loads((Path(__file__).parent / "data" / "filtration_depth2_run.json").read_text(encoding="utf-8"))
+    first = tensor.truncated_polynomial_ring("integer_mod_torsion", 32, [("x", 8), ("a", 4), ("b", 4)], fundamental="x^4")
+    second = json.loads(json.dumps(run["stages"][1]["ring"]).replace('"x^3"', json.dumps("x^3\ud800")))
+    write_json(tmp_path / "run.json", {"d": 1, "schedule": run["schedule"][:3], "stages": [
+        {"ring": first.serialize(), "bundle": run["stages"][0]["bundle"]},
+        {"ring": second, "bundle": run["stages"][1]["bundle"]},
+    ]})
+    argv = ["filtration", "run", "--spec", str(tmp_path / "run.json")]
+    args = cli._build_parser().parse_args(argv)
+    report = args.handler(args)
+    pieces = []
+    cli._encode(report, 0, ["\n"], pieces, gring.ManifoldRing)
+    unencodable = next(n for n, piece in enumerate(pieces) if "\ud800" in piece)
+    assert [piece.count('"a": ') for piece in pieces[:unencodable]].count(cli._CHUNK_ENTRIES) == 1
+    with pytest.raises(UnicodeEncodeError) as raised:
+        indented(report).encode("utf-8")
+    out_path = tmp_path / "report.json"
+    out = ["--out", str(out_path)] if to_file else []
+    assert run_cli(capsys, *argv, *out) == (2, "", f"UnicodeEncodeError: {raised.value}\n")
+    assert not out_path.exists()
 
 
 def test_unprintable_report_creates_no_out_file(capsys, tmp_path):

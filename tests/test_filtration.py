@@ -20,16 +20,18 @@ from jetstrata.filtration import (
 )
 from jetstrata.gring import (
     ModeMismatch,
-    RingMap,
     RingMismatch,
-    TensorRing,
     element_to_spec,
     kunneth_product,
     make_ring,
+)
+from jetstrata.symbols import INFINITE_ORDER, BoardmanSymbol, ConsistencyError, JetContext
+from jetstrata.tensor import (
+    RingMap,
+    TensorRing,
     tensor_component,
     truncated_polynomial_ring,
 )
-from jetstrata.symbols import INFINITE_ORDER, BoardmanSymbol, ConsistencyError, JetContext
 
 import replay
 from conftest import ring_map_from_generators
@@ -178,7 +180,7 @@ def test_two_stage_run_product_bookkeeping():
     assert first.value == run.injections[0](run.stages[0].obstruction.value)
     assert second.value == run.injections[1](run.stages[1].obstruction.value)
     # nonzero survival is backed by injectivity of the injections
-    from jetstrata.gring import is_degreewise_injective
+    from jetstrata.tensor import is_degreewise_injective
 
     for inject in run.injections:
         assert is_degreewise_injective(inject)
@@ -425,9 +427,10 @@ def test_records_are_immutable_and_compare_by_field():
     assert ObstructionClass(o.value, o.stratum_index, o.expected_degree, o.variant) == o
     assert ObstructionClass(ring.zero(), o.stratum_index, o.expected_degree, o.variant) != o
     # A record is built from its field values in slot order.  JetContext,
-    # ObstructionClass and CheckResult default their last field; the five
-    # records without a constructor of their own take no keywords.
-    defaulted = (JetContext, ObstructionClass, selfcheck.CheckResult)
+    # ObstructionClass, FiltrationRun and CheckResult default their last
+    # field; the four records without a constructor of their own take no
+    # keywords.
+    defaulted = (JetContext, ObstructionClass, FiltrationRun, selfcheck.CheckResult)
     for record, _ in records:
         kind, values = type(record), [getattr(record, name) for name in record.__slots__]
         assert kind(*values) == record

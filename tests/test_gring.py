@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetstrata import gring
+from jetstrata import gring, tensor
 from jetstrata.gring import (
     BadUnit,
     DegreeOverflowEntry,
@@ -16,14 +16,16 @@ from jetstrata.gring import (
     NonAssociative,
     NotAUnit,
     PresentationError,
-    RingMap,
     RingMismatch,
     element_to_spec,
     invert_total_class,
-    is_degreewise_injective,
     kunneth_product,
     make_ring,
     pair_fundamental,
+)
+from jetstrata.tensor import (
+    RingMap,
+    is_degreewise_injective,
     tensor_component,
     truncated_polynomial_ring,
 )
@@ -224,7 +226,7 @@ def test_pairs_without_a_third_factor_count_toward_the_triple_cap(monkeypatch):
     ring = ManifoldRing("mod2", 5, basis, fundamental="t", verify=False)
     count = sum(len(zs) for _, _, zs in ring._triple_slices())
     walked = len(list(ring._triple_slices()))
-    bounded = list(gring._bounded_pairs(ring.degrees, ring.unit_position, 4))
+    bounded = list(tensor._bounded_pairs(ring.degrees, ring.unit_position, 4))
     assert walked < count - 1 < len(bounded) == count
     spec = ring.serialize()
     monkeypatch.setattr(gring, "MAX_ASSOC_TRIPLES", count)
@@ -310,7 +312,7 @@ def test_bounded_pairs_match_filtered_brute_force(ring):
             (x, y) for x, y in itertools.combinations_with_replacement(nonunit, 2)
             if degrees[x] + degrees[y] <= bound
         ]
-        assert list(gring._bounded_pairs(degrees, unit, bound)) == expected
+        assert list(tensor._bounded_pairs(degrees, unit, bound)) == expected
 
 
 @pytest.mark.parametrize("ring", [
@@ -519,19 +521,19 @@ def test_kunneth_product_of_two_four_manifolds():
     product, qa, qb = kunneth_product(a, b)
     assert len(product.labels) == 9
     assert product.top_dim == 8
-    assert product.labels[product.fundamental_position] == f"x2{gring.TENSOR_SEPARATOR}x2"
+    assert product.labels[product.fundamental_position] == f"x2{tensor.TENSOR_SEPARATOR}x2"
     x = a.basis_element("x")
     y = b.basis_element("x")
-    assert qa(x) * qb(y) == product.basis_element(f"x{gring.TENSOR_SEPARATOR}x")
+    assert qa(x) * qb(y) == product.basis_element(f"x{tensor.TENSOR_SEPARATOR}x")
 
 
 def test_kunneth_product_cap_is_exact(monkeypatch):
     a = four_manifold_ring()
     b = four_manifold_ring()
-    monkeypatch.setattr(gring, "MAX_PRODUCT_BASIS", 9)
+    monkeypatch.setattr(tensor, "MAX_PRODUCT_BASIS", 9)
     product, _, _ = kunneth_product(a, b)
     assert len(product.labels) == 9
-    monkeypatch.setattr(gring, "MAX_PRODUCT_BASIS", 8)
+    monkeypatch.setattr(tensor, "MAX_PRODUCT_BASIS", 8)
     with pytest.raises(PresentationError, match="basis of 9 labels exceeds the cap MAX_PRODUCT_BASIS = 8"):
         kunneth_product(a, b)
     with pytest.raises(PresentationError, match="basis of 27 labels"):

@@ -20,14 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetstrata.gring import (
-    TENSOR_SEPARATOR,
     ManifoldRing,
     PresentationError,
-    RingMap,
-    TensorRing,
     element_to_spec,
     kunneth_product,
     make_ring,
+)
+from jetstrata.tensor import (
+    TENSOR_SEPARATOR,
+    RingMap,
+    TensorRing,
     tensor_component,
     truncated_polynomial_ring,
 )

@@ -24,7 +24,7 @@ from operator import mul
 from hypothesis import given, settings, strategies as st
 
 from jetstrata.charclass import VirtualBundle, _porteous
-from jetstrata.gring import truncated_polynomial_ring
+from jetstrata.tensor import truncated_polynomial_ring
 
 # The largest top degree, in units u, per number of generators m + n: each
 # ring keeps at most about 500 labels.

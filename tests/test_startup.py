@@ -16,11 +16,15 @@ from pathlib import Path
 import pytest
 
 import jetstrata
-from jetstrata import cli, gring, symbols
+from jetstrata import cli, gring, symbols, tensor
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(cli.__file__).resolve().parent.parent
-LIBRARY = {"gring", "charclass", "criteria", "filtration", "selfcheck"}
+LIBRARY = {"gring", "charclass", "criteria", "filtration", "selfcheck", "tensor"}
+# The names that live in ``tensor``, which only products of rings run.
+TENSOR_NAMES = {"RingMap", "TensorRing", "tensor_component", "_rank", "is_degreewise_injective",
+                "truncated_polynomial_ring", "TENSOR_SEPARATOR", "MAX_PRODUCT_BASIS", "_bounded_pairs"}
+RUN = ROOT / "tests" / "data" / "filtration_depth2_run.json"
 # Printed by a fresh interpreter after its code ran: the jetstrata modules loaded.
 LOADED = "print(sorted(name for name in sys.modules if name.split('.')[0] == 'jetstrata'))"
 
@@ -45,7 +49,7 @@ def in_process(*argv):
 def session_files(tmp_path):
     """The ring and bundle documents of a 515-label mod-2 ring, the shape of
     the ring-session workload's."""
-    ring = gring.truncated_polynomial_ring("mod2", 18, [("a", 1), ("b", 2), ("c", 3), ("d", 4)], fundamental="a^18")
+    ring = tensor.truncated_polynomial_ring("mod2", 18, [("a", 1), ("b", 2), ("c", 3), ("d", 4)], fundamental="a^18")
     ring_path, bundle_path = tmp_path / "ring.json", tmp_path / "bundle.json"
     ring_path.write_text(json.dumps(ring.serialize()), encoding="utf-8")
     total = [{"label": label, "coeff": 1} for label in ("1", "a", "b", "c", "d")]
@@ -61,6 +65,11 @@ def test_importing_the_cli_loads_only_the_cli_and_symbols():
     assert done.stdout == b"['jetstrata', 'jetstrata.cli', 'jetstrata.symbols']\n"
 
 
+def test_importing_the_ring_engine_loads_no_tensor_code():
+    done = fresh(code=f"import sys, jetstrata.gring; {LOADED}")
+    assert done.stdout == b"['jetstrata', 'jetstrata.gring', 'jetstrata.symbols']\n"
+
+
 @pytest.mark.parametrize(
     "argv, library",
     [
@@ -68,6 +77,7 @@ def test_importing_the_cli_loads_only_the_cli_and_symbols():
         (["codim", "--symbol", "2,1,0", "--n", "3"], set()),  # exits 2 in argparse
         (["criteria", "w", "--n", "4", "--p", "4", "--i", "2", "--k", "inf"], {"gring", "charclass", "criteria"}),
         (["filtration", "next-index", "--l", "5"], {"gring", "charclass", "filtration"}),
+        (["filtration", "run", "--spec", str(RUN)], {"gring", "charclass", "filtration", "tensor"}),
         (["porteous", "--variant", "sw", "@", "--i", "2", "--n", "18", "--p", "18"], {"gring", "charclass"}),
         (["wtable", "@", "--p", "8"], {"gring", "charclass"}),  # exits 2: the ring is mod 2
         (["verdict", "@", "--i", "3", "--l", "0", "--k", "inf", "--target-dim", "18"],
@@ -93,6 +103,19 @@ def test_star_import_binds_every_public_name_to_its_submodule_attribute():
         "for n in names), __version__, sorted(set(jetstrata.__all__) - set(dir(jetstrata))))"
     )
     assert fresh(code=code).stdout == b"True 0.1.0 []\n"
+
+
+def test_tensor_names_resolve_through_the_package_and_are_gone_from_the_ring_engine():
+    code = (
+        "import jetstrata, jetstrata.gring as g, jetstrata.tensor as t; "
+        f"names = {sorted(TENSOR_NAMES)!r}; "
+        "public = [n for n in names if jetstrata._HOME.get(n) == 'tensor']; "
+        "print(sorted(public), all(getattr(jetstrata, n) is getattr(t, n) for n in public), "
+        "all(hasattr(t, n) for n in names), [n for n in names if hasattr(g, n)])"
+    )
+    public = sorted(TENSOR_NAMES & set(jetstrata.__all__))
+    assert public == ["RingMap", "is_degreewise_injective", "tensor_component", "truncated_polynomial_ring"]
+    assert fresh(code=code).stdout == f"{public} True True []\n".encode()
 
 
 def test_submodules_resolve_after_importing_the_package_and_unknown_names_do_not():

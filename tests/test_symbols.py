@@ -8,7 +8,7 @@ import pytest
 from jetstrata import symbols
 from jetstrata.charclass import CharClassError, VirtualBundle, porteous_pontrjagin, porteous_sw
 from jetstrata.filtration import FiltrationError, StageOutOfRange, build_run, next_index, product_obstruction
-from jetstrata.gring import PresentationError, invert_total_class, kunneth_product, tensor_component, truncated_polynomial_ring
+from jetstrata.gring import PresentationError, invert_total_class, kunneth_product
 from jetstrata.symbols import (
     INFINITE_ORDER,
     BoardmanSymbol,
@@ -27,6 +27,7 @@ from jetstrata.symbols import (
     truncate_symbol,
     validate_symbol,
 )
+from jetstrata.tensor import tensor_component, truncated_polynomial_ring
 
 
 def test_validate_symbol_accepts_nonincreasing():
